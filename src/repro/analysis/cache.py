@@ -99,20 +99,22 @@ class AnalysisCache:
 
 
 def closure_digests(project: Project) -> dict[str, str]:
-    """module name -> hash over its transitive import closure's shas.
+    """module name -> hash over its name and its import closure's shas.
 
     The closure includes the module itself.  Modules outside the
-    project contribute nothing (their content is not analyzed), and a
-    module with no project imports hashes to its own sha — so for
-    leaf modules the closure key degenerates to the file key.
+    project contribute nothing (their content is not analyzed).  The
+    module's own name leads the hashed blob: every module in one
+    import cycle has the same closure, and without the name they
+    would share one cache key, so a warm run would replay one module's
+    findings once per cycle member.
     """
     graph = ImportGraph.build(project)
     by_name = {module.name: module for module in project.modules}
     digests: dict[str, str] = {}
     for module in project.modules:
         names = sorted(graph.closure(module.name) | {module.name})
-        blob = "\x00".join(
+        blob = "\x00".join([module.name] + [
             f"{name}={by_name[name].sha}" for name in names
-            if name in by_name)
+            if name in by_name])
         digests[module.name] = hashlib.sha256(blob.encode()).hexdigest()
     return digests

@@ -110,9 +110,13 @@ class RequestLog:
     append evicts the oldest entry and bumps :attr:`dropped`, so
     million-launch sweeps cannot grow the log without bound while the
     *recent* window — the part tests and operators inspect — is exact.
+
+    :attr:`clean` counts every unmarked entry (no ``!`` suffix) ever
+    appended, evicted or not, so counters reconcile against it at any
+    sweep size.
     """
 
-    __slots__ = ("capacity", "dropped", "_entries")
+    __slots__ = ("capacity", "dropped", "clean", "_entries")
 
     def __init__(self, capacity: int = 8192) -> None:
         if capacity < 1:
@@ -120,12 +124,15 @@ class RequestLog:
                 f"request log capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.dropped = 0
+        self.clean = 0
         self._entries: list[str] = []
 
     def append(self, entry: str) -> None:
         if len(self._entries) >= self.capacity:
             del self._entries[0]
             self.dropped += 1
+        if "!" not in entry:
+            self.clean += 1
         self._entries.append(entry)
 
     def __len__(self) -> int:

@@ -37,7 +37,6 @@ harness folds the counters in afterwards.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -47,16 +46,12 @@ from repro.attest.pcs import (
     IntelPcs,
     Staleness,
 )
-# the protocol is imported under a private alias so the public
-# ``CollateralTier`` name stays free for the module-level
-# ``__getattr__`` deprecation shim below (the legacy name must keep
-# resolving to the per-tier document store, now TierStore)
 from repro.attest.tiers import (
     CollateralDoc,
+    CollateralTier,
     TierHit,
     TierStore,
 )
-from repro.attest.tiers import CollateralTier as _CollateralTierProtocol
 from repro.errors import AttestationError, CollateralTimeoutError
 from repro.guestos.context import ExecContext
 from repro.hw.nic import NicModel, lan_path
@@ -81,7 +76,7 @@ DEFAULT_SESSION_TTL_NS = 3600 * 1e9
 _TIER_PRIORITY = ("origin", "stale", "cdn", "host", "warm")
 
 
-class TieredCollateral(_CollateralTierProtocol):
+class TieredCollateral(CollateralTier):
     """``per-host → cluster CDN → origin`` collateral resolution.
 
     Implements the same four ``fetch_*`` methods as
@@ -103,7 +98,7 @@ class TieredCollateral(_CollateralTierProtocol):
     the peek the KBS admission path uses — while the charged
     ``fetch_*(ctx)`` provider methods remain the authority for origin
     refreshes.  Both paths feed the same standard ``hits`` counters;
-    the finer-grained legacy ``stats`` dict is kept alongside.
+    the finer-grained ``stats`` dict is kept alongside.
     """
 
     _ENDPOINTS = {
@@ -733,28 +728,3 @@ class LaunchAttestor:
                                            nonce, guest_identity=vm_id)
         return build
 
-
-#: deprecation messages already issued from this module (warn once)
-_WARNED: set[str] = set()
-
-
-def __getattr__(name: str):
-    """Deprecated import-path shims.
-
-    ``CollateralTier`` used to name the per-tier document store
-    defined here; the API redesign moved that class to
-    :class:`repro.attest.tiers.TierStore` and gave the
-    ``CollateralTier`` name to the unified tier protocol.  The old
-    import path keeps working (returning the store, as before) with a
-    one-time :class:`DeprecationWarning`.
-    """
-    if name == "CollateralTier":
-        message = ("repro.attest.service.CollateralTier is deprecated; "
-                   "import TierStore (the per-tier document store) or "
-                   "the CollateralTier protocol from repro.attest.tiers")
-        if message not in _WARNED:
-            _WARNED.add(message)
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-        return TierStore
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -17,11 +17,10 @@ module unifies them behind one protocol:
   counters into any duck-typed metrics sink.
 - :class:`TierStore` — the dumb per-tier document store both
   implementations build on (endpoint → (document, stored-at ns)).
-- :class:`ZonedCollateral` — THE zone-scale implementation (moved
-  here from ``repro.core.cluster.collateral``, which is now a
-  warn-once deprecation shim).  Host warmth is keyed by the caller's
+- :class:`ZonedCollateral` — THE zone-scale implementation, the one
+  the cluster gateway uses.  Host warmth is keyed by the caller's
   ``doc.host`` identity string, so the tier works for any orchestrator
-  that can name its hosts — it no longer mutates cluster-node state.
+  that can name its hosts, without touching cluster-node state.
 
 ``repro.attest.service.TieredCollateral`` subclasses the ABC too: its
 charged ``fetch_*(ctx)`` provider methods remain (they price network

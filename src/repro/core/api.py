@@ -10,12 +10,11 @@ entry point the examples and experiment harnesses use:
 >>> summary.ratio        # doctest: +SKIP
 1.05
 
-The v1 surface is keyword-consistent: every invocation method takes
-its request parameters (``platform``, ``secure``, ``args``,
-``trials``) as keywords, and ``trials=None`` uniformly means "the
-config default" — the same semantics on ``invoke``, ``run_classic``
-and both ``measure_*`` comparisons.  Legacy positional calls still
-work through a warn-once deprecation shim.
+Every invocation method takes its request parameters (``platform``,
+``secure``, ``args``, ``trials``) as keyword-only arguments, and
+``trials=None`` uniformly means "the config default" — the same
+semantics on ``invoke``, ``run_classic`` and both ``measure_*``
+comparisons.
 
 Telemetry rides along on every invocation: :meth:`metrics` snapshots
 the unified registry, :meth:`trace` exports the recorded span trees,
@@ -27,45 +26,10 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.config import GatewayConfig, default_config
-from repro.core.gateway import Gateway, InvocationRequest, warn_once
+from repro.core.gateway import Gateway, InvocationRequest
 from repro.core.results import InvocationRecord, RatioSummary, summarize_ratio
 from repro.obs.export import TraceExporter
 from repro.obs.profile import Profile
-
-
-#: Sentinel distinguishing "keyword not passed" from any real value,
-#: so deprecated positionals only conflict with *explicit* keywords.
-_UNSET: Any = object()
-
-
-def _merge_call(method: str, legacy: tuple,
-                spec: tuple[tuple[str, Any, Any], ...]) -> dict[str, Any]:
-    """Resolve one redesigned-signature call to its final arguments.
-
-    ``spec`` lists ``(name, passed, default)`` per optional parameter,
-    with ``passed`` being :data:`_UNSET` when the caller omitted the
-    keyword.  Deprecated positionals in ``legacy`` fill the same slots
-    left to right (warn-once); a positional alongside its keyword is a
-    ``TypeError``, exactly as a real signature would raise.
-    """
-    names = tuple(name for name, _, _ in spec)
-    if len(legacy) > len(names):
-        raise TypeError(
-            f"{method}() takes at most {len(names)} optional positional "
-            f"argument(s) ({', '.join(names)}), got {len(legacy)}")
-    if legacy:
-        warn_once(
-            f"{method}() with positional {', '.join(names[:len(legacy)])} "
-            f"is deprecated; pass them as keywords")
-    merged: dict[str, Any] = {}
-    for index, (name, passed, default) in enumerate(spec):
-        positional = legacy[index] if index < len(legacy) else _UNSET
-        if positional is not _UNSET and passed is not _UNSET:
-            raise TypeError(
-                f"{method}() got multiple values for argument {name!r}")
-        value = positional if positional is not _UNSET else passed
-        merged[name] = default if value is _UNSET else value
-    return merged
 
 
 class ConfBench:
@@ -91,86 +55,60 @@ class ConfBench:
 
     # -- invocation ----------------------------------------------------------
 
-    def invoke(self, function: str, language: str, *legacy,
-               platform: str = _UNSET, secure: bool = _UNSET,
-               args: dict[str, Any] | None = _UNSET,
-               trials: int | None = _UNSET) -> list[InvocationRecord]:
+    def invoke(self, function: str, language: str, *,
+               platform: str = "tdx", secure: bool = True,
+               args: dict[str, Any] | None = None,
+               trials: int | None = None) -> list[InvocationRecord]:
         """Run one FaaS function; returns per-trial records.
 
-        Defaults: ``platform="tdx"``, ``secure=True``, ``args=None``;
         ``trials=None`` runs the config default (the paper's 10).
         """
-        merged = _merge_call("ConfBench.invoke", legacy, (
-            ("platform", platform, "tdx"),
-            ("secure", secure, True),
-            ("args", args, None),
-            ("trials", trials, None),
-        ))
         return self.gateway.invoke(InvocationRequest(
             function=function,
             language=language,
-            platform=merged["platform"],
-            secure=merged["secure"],
-            args=merged["args"] if merged["args"] is not None else {},
-            trials=merged["trials"],
+            platform=platform,
+            secure=secure,
+            args=args if args is not None else {},
+            trials=trials,
         ))
 
-    def run_classic(self, name: str, fn, *legacy, platform: str = _UNSET,
-                    secure: bool = _UNSET,
-                    trials: int | None = _UNSET) -> list[InvocationRecord]:
+    def run_classic(self, name: str, fn, *, platform: str = "tdx",
+                    secure: bool = True,
+                    trials: int | None = None) -> list[InvocationRecord]:
         """Run a classic workload callable (receives the guest kernel).
 
-        Same request surface as :meth:`invoke`: keyword-only
-        ``platform`` / ``secure`` / ``trials``, with ``trials=None``
-        meaning the config default.  (Historically this defaulted to a
-        single trial; pass ``trials=1`` for the old behaviour.)
+        Same request surface as :meth:`invoke`, with ``trials=None``
+        meaning the config default.
         """
-        merged = _merge_call("ConfBench.run_classic", legacy, (
-            ("platform", platform, "tdx"),
-            ("secure", secure, True),
-            ("trials", trials, None),
-        ))
         return self.gateway.invoke_classic(
-            name, fn, platform=merged["platform"], secure=merged["secure"],
-            trials=merged["trials"])
+            name, fn, platform=platform, secure=secure, trials=trials)
 
     # -- comparisons -------------------------------------------------------------
 
-    def measure_overhead(self, function: str, language: str, *legacy,
-                         platform: str = _UNSET,
-                         args: dict[str, Any] | None = _UNSET,
-                         trials: int | None = _UNSET) -> RatioSummary:
+    def measure_overhead(self, function: str, language: str, *,
+                         platform: str = "tdx",
+                         args: dict[str, Any] | None = None,
+                         trials: int | None = None) -> RatioSummary:
         """Secure-vs-normal ratio for one FaaS function (the paper's
         headline metric: ratio of mean times over matched trials)."""
-        merged = _merge_call("ConfBench.measure_overhead", legacy, (
-            ("platform", platform, "tdx"),
-            ("args", args, None),
-            ("trials", trials, None),
-        ))
-        secure = self.invoke(function, language, platform=merged["platform"],
-                             secure=True, args=merged["args"],
-                             trials=merged["trials"])
-        normal = self.invoke(function, language, platform=merged["platform"],
-                             secure=False, args=merged["args"],
-                             trials=merged["trials"])
+        secure = self.invoke(function, language, platform=platform,
+                             secure=True, args=args, trials=trials)
+        normal = self.invoke(function, language, platform=platform,
+                             secure=False, args=args, trials=trials)
         return summarize_ratio(secure, normal)
 
-    def measure_classic_overhead(self, name: str, fn, *legacy,
-                                 platform: str = _UNSET,
-                                 trials: int | None = _UNSET) -> RatioSummary:
+    def measure_classic_overhead(self, name: str, fn, *,
+                                 platform: str = "tdx",
+                                 trials: int | None = None) -> RatioSummary:
         """Secure-vs-normal ratio for a classic workload callable.
 
-        ``trials=None`` runs the config default — the same semantics
-        as :meth:`measure_overhead` (previously this hard-coded 10).
+        ``trials=None`` runs the config default, as in
+        :meth:`measure_overhead`.
         """
-        merged = _merge_call("ConfBench.measure_classic_overhead", legacy, (
-            ("platform", platform, "tdx"),
-            ("trials", trials, None),
-        ))
-        secure = self.run_classic(name, fn, platform=merged["platform"],
-                                  secure=True, trials=merged["trials"])
-        normal = self.run_classic(name, fn, platform=merged["platform"],
-                                  secure=False, trials=merged["trials"])
+        secure = self.run_classic(name, fn, platform=platform,
+                                  secure=True, trials=trials)
+        normal = self.run_classic(name, fn, platform=platform,
+                                  secure=False, trials=trials)
         return summarize_ratio(secure, normal)
 
     # -- telemetry ---------------------------------------------------------------

@@ -10,7 +10,6 @@ build a fleet with :func:`build_fleet`, run a sweep through
 :class:`ClusterGateway`, read the :class:`ClusterReport`.
 """
 
-from repro.core.cluster.collateral import ZoneCollateral
 from repro.core.cluster.gateway import ClusterGateway, ClusterReport
 from repro.core.cluster.health import HealthMonitor
 from repro.core.cluster.node import ClusterNode, NodeState
@@ -45,6 +44,5 @@ __all__ = [
     "TenantMix",
     "TrafficGenerator",
     "TrafficSpec",
-    "ZoneCollateral",
     "build_fleet",
 ]

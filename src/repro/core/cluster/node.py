@@ -35,9 +35,8 @@ class ClusterNode:
     __slots__ = (
         "profile", "state", "free_mib", "active", "secure_active",
         "warm", "warm_total", "warm_cap", "missed_probes",
-        "crashed_at_ns", "degraded_window", "host_collateral",
-        "busy_ns", "served", "cold_boots", "warm_starts",
-        "completions_since_tick",
+        "crashed_at_ns", "degraded_window", "busy_ns", "served",
+        "cold_boots", "warm_starts", "completions_since_tick",
     )
 
     def __init__(self, profile: HostProfile) -> None:
@@ -55,8 +54,6 @@ class ClusterNode:
         self.crashed_at_ns: float | None = None
         #: (start_ns, end_ns) slowdown window, or None
         self.degraded_window: tuple[float, float] | None = None
-        #: platforms whose attestation collateral is cached host-side
-        self.host_collateral: dict[str, bool] = {}
         self.busy_ns = 0.0          # total attempt time burned here
         self.served = 0
         self.cold_boots = 0

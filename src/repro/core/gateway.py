@@ -12,7 +12,6 @@ with perf metrics piggybacked.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,26 +30,10 @@ from repro.sim.faults import FaultPlan
 from repro.tee.registry import platform_by_name
 from repro.tee.vm import RunResult
 
-#: deprecation messages already issued this process (warn once each)
-_WARNED: set[str] = set()
-
 #: the 429 hint's estimate of how long one backlogged trial takes to
 #: drain — a config constant, so ``retry_after_ns`` is a pure function
 #: of the backlog depth at rejection time
 SHED_RETRY_NS_PER_TRIAL = 50_000_000.0
-
-
-def warn_once(message: str) -> None:
-    """Issue a :class:`DeprecationWarning` once per process per message.
-
-    The v1 API redesign keeps every legacy entry point alive as a shim;
-    warning on each of potentially thousands of trial invocations would
-    drown real output, so each distinct message fires exactly once.
-    """
-    if message in _WARNED:
-        return
-    _WARNED.add(message)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -295,8 +278,6 @@ class Gateway:
 
     def invoke_classic(self, name: str, fn, *, platform: str = "tdx",
                        secure: bool = True, trials: int | None = None,
-                       fn_args: tuple = (),
-                       fn_kwargs: dict[str, Any] | None = None,
                        ) -> list[InvocationRecord]:
         """Run a classic (non-FaaS) workload callable.
 
@@ -305,12 +286,10 @@ class Gateway:
         signature mirrors :meth:`invoke`'s keyword surface: ``platform``
         / ``secure`` / ``trials`` are keyword-only and ``trials=None``
         means the config default, the same semantics FaaS invocations
-        get.  Extra workload arguments travel via ``fn_args`` /
-        ``fn_kwargs`` rather than positional ``*args`` so they can
-        never be confused with request parameters.
+        get.
         """
         trials = self._resolve_trials(trials)
-        body = native_launcher(fn, *fn_args, **(fn_kwargs or {}))
+        body = native_launcher(fn)
         pool = self._pool(platform, secure)
         monitor = self.monitors[platform]
 
@@ -334,24 +313,6 @@ class Gateway:
         finally:
             self._release_invocation(trials)
         return self._account(trials, records)
-
-    def invoke_native(self, name: str, fn, platform: str, secure: bool,
-                      trials: int = 1, *fn_args,
-                      **fn_kwargs) -> list[InvocationRecord]:
-        """Deprecated alias for :meth:`invoke_classic`.
-
-        The legacy positional signature (``trials`` defaulting to 1,
-        workload arguments as trailing ``*fn_args``) is preserved
-        verbatim; new code should call :meth:`invoke_classic`, whose
-        keyword-only surface matches :meth:`invoke`.
-        """
-        warn_once(
-            "Gateway.invoke_native() is deprecated; use "
-            "Gateway.invoke_classic(name, fn, *, platform=..., secure=..., "
-            "trials=...) instead")
-        return self.invoke_classic(name, fn, platform=platform,
-                                   secure=secure, trials=trials,
-                                   fn_args=fn_args, fn_kwargs=fn_kwargs)
 
     def _admit_invocation(self, trials: int) -> None:
         """Admit (or refuse) a whole invocation against the backlog.

@@ -5,8 +5,7 @@ interface together with the corresponding runtime parameters".  The
 paper's gateway is Rust/Axum; this one is the Python stdlib's
 threading HTTP server.
 
-The API is versioned under ``/v1``; the unprefixed legacy paths stay
-as aliases to the same handlers:
+Every route lives under ``/v1``; any other path is a 404:
 
 - ``GET  /v1/health``         — liveness probe
 - ``GET  /v1/platforms``      — configured execution platforms
@@ -34,8 +33,7 @@ with the proper status split: 400 for malformed/invalid bodies
 (``bad_request``), 404 for unknown resources (``not_found``), and 405
 with an ``Allow`` header for a known resource hit with the wrong
 method (``method_not_allowed``).  ``POST /v1/invoke`` is strict: a
-body field outside the documented set is a 400 (the legacy ``/invoke``
-alias keeps ignoring unknown fields).
+body field outside the documented set is a 400.
 
 A gateway whose cross-invocation backlog is at capacity sheds the
 request with 429 (``overloaded``): the envelope gains a deterministic
@@ -59,20 +57,20 @@ from repro.errors import (
     OverloadedError,
 )
 
-#: resource path (version prefix stripped) -> {HTTP method: handler name}
+#: resource path -> {HTTP method: handler name}
 _ROUTES: dict[str, dict[str, str]] = {
-    "/health": {"GET": "health"},
-    "/platforms": {"GET": "platforms"},
-    "/functions": {"GET": "functions", "POST": "upload"},
-    "/invoke": {"POST": "invoke"},
-    "/metrics": {"GET": "metrics"},
-    "/stats": {"GET": "stats"},
-    "/cluster/run": {"POST": "cluster_run"},
-    "/cluster/report": {"GET": "cluster_report"},
-    "/kbs/release": {"POST": "kbs_release"},
+    "/v1/health": {"GET": "health"},
+    "/v1/platforms": {"GET": "platforms"},
+    "/v1/functions": {"GET": "functions", "POST": "upload"},
+    "/v1/invoke": {"POST": "invoke"},
+    "/v1/metrics": {"GET": "metrics"},
+    "/v1/stats": {"GET": "stats"},
+    "/v1/cluster/run": {"POST": "cluster_run"},
+    "/v1/cluster/report": {"GET": "cluster_report"},
+    "/v1/kbs/release": {"POST": "kbs_release"},
 }
 
-#: the documented ``POST /v1/invoke`` body fields (strict mode)
+#: the documented ``POST /v1/invoke`` body fields
 _INVOKE_FIELDS = frozenset(
     {"function", "language", "platform", "secure", "args", "trials"})
 
@@ -118,9 +116,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         path = self.path.split("?", 1)[0]
-        versioned = path == "/v1" or path.startswith("/v1/")
-        if versioned:
-            path = path[len("/v1"):] or "/"
         methods = _ROUTES.get(path)
         if methods is None:
             self._error(404, "not_found", f"no such resource: {self.path}")
@@ -132,7 +127,7 @@ class _Handler(BaseHTTPRequestHandler):
                         allow=sorted(methods))
             return
         try:
-            getattr(self, f"_handle_{name}")(versioned)
+            getattr(self, f"_handle_{name}")()
         except OverloadedError as exc:
             # shed with a record, never silently: the envelope carries
             # the deterministic drain-time hint and the standard
@@ -170,26 +165,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- handlers ------------------------------------------------------
 
-    def _handle_health(self, versioned: bool) -> None:
+    def _handle_health(self) -> None:
         self._send(200, {"status": "ok"})
 
-    def _handle_platforms(self, versioned: bool) -> None:
+    def _handle_platforms(self) -> None:
         self._send(200, self.server.gateway.platforms())
 
-    def _handle_functions(self, versioned: bool) -> None:
+    def _handle_functions(self) -> None:
         self._send(200, self.server.gateway.functions())
 
-    def _handle_metrics(self, versioned: bool) -> None:
+    def _handle_metrics(self) -> None:
         registry = getattr(self.server.gateway, "metrics", None)
         if registry is None:
             self._send(200, {"counters": {}, "gauges": {}, "histograms": {}})
             return
         self._send(200, registry.snapshot())
 
-    def _handle_stats(self, versioned: bool) -> None:
+    def _handle_stats(self) -> None:
         self._send(200, self.server.gateway.stats.to_dict())
 
-    def _handle_upload(self, versioned: bool) -> None:
+    def _handle_upload(self) -> None:
         payload = self._read_json()
         name = payload.get("name")
         if not name or not isinstance(name, str):
@@ -201,14 +196,13 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._send(201, {"uploaded": name})
 
-    def _handle_invoke(self, versioned: bool) -> None:
+    def _handle_invoke(self) -> None:
         payload = self._read_json()
-        if versioned:
-            unknown = sorted(set(payload) - _INVOKE_FIELDS)
-            if unknown:
-                raise ConfBenchError(
-                    f"unknown invoke field(s): {', '.join(unknown)}; "
-                    f"allowed: {', '.join(sorted(_INVOKE_FIELDS))}")
+        unknown = sorted(set(payload) - _INVOKE_FIELDS)
+        if unknown:
+            raise ConfBenchError(
+                f"unknown invoke field(s): {', '.join(unknown)}; "
+                f"allowed: {', '.join(sorted(_INVOKE_FIELDS))}")
         function = payload.get("function", "")
         if not function or not isinstance(function, str):
             raise ConfBenchError("invoke needs a 'function'")
@@ -232,11 +226,11 @@ class _Handler(BaseHTTPRequestHandler):
         records = self.server.gateway.invoke(request)
         self._send(200, [record.to_dict() for record in records])
 
-    def _handle_cluster_run(self, versioned: bool) -> None:
+    def _handle_cluster_run(self) -> None:
         payload = self._read_json()
         self._send(200, self.server.gateway.cluster().run(payload))
 
-    def _handle_cluster_report(self, versioned: bool) -> None:
+    def _handle_cluster_report(self) -> None:
         report = self.server.gateway.cluster().report()
         if report is None:
             self._error(404, "not_found",
@@ -245,7 +239,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send(200, report)
 
-    def _handle_kbs_release(self, versioned: bool) -> None:
+    def _handle_kbs_release(self) -> None:
         payload = self._read_json()
         self._send(200, self.server.gateway.cluster().kbs_release(payload))
 

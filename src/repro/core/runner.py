@@ -30,7 +30,6 @@ kinds.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -582,8 +581,7 @@ def _attestation_service_body(spec: TrialSpec) -> Callable:
             add_counters("collateral.host-b", host_b.collateral.stats)
             origin_fetches = (host_a.collateral.stats["origin.fetches"]
                               + host_b.collateral.stats["origin.fetches"])
-            clean_log_entries = sum(
-                1 for entry in pcs.request_log if "!" not in entry)
+            clean_log_entries = pcs.request_log.clean
             queue_depth_peak = max(host_a.queue_depth_peak,
                                    host_b.queue_depth_peak)
         else:
@@ -788,9 +786,7 @@ def _supplychain_body(spec: TrialSpec) -> Callable:
             == registry.clean_log_entries())
         if secure and attestor.pcs is not None:
             origin_fetches = attestor.collateral.stats["origin.fetches"]
-            clean_pcs_entries = sum(
-                1 for entry in attestor.pcs.request_log
-                if "!" not in entry)
+            clean_pcs_entries = attestor.pcs.request_log.clean
             pcs_reconciled = origin_fetches == clean_pcs_entries
         else:
             origin_fetches = 0
@@ -1000,37 +996,18 @@ def _degraded_result(spec: TrialSpec, failures: FailureLog,
 # Executors
 # ---------------------------------------------------------------------------
 
-def _accepts_keyword(mapper: Callable, name: str) -> bool:
-    """Whether an executor's ``map`` takes the named keyword argument.
-
-    Custom executors predating the supervision layer implement the
-    bare two-argument protocol; the runner only passes ``on_result`` /
-    ``lookup`` to executors that declare them (or take ``**kwargs``).
-    """
-    try:
-        parameters = inspect.signature(mapper).parameters
-    except (TypeError, ValueError):   # builtins, exotic callables
-        return False
-    if name in parameters:
-        return True
-    return any(parameter.kind is inspect.Parameter.VAR_KEYWORD
-               for parameter in parameters.values())
-
-
 class TrialExecutor(Protocol):
     """Maps the trial function over specs, preserving order.
 
-    Executors *may* additionally accept ``on_result`` (a callback
-    invoked as ``on_result(position, result)`` the moment each trial
-    completes — the runner journals through it) and ``lookup`` (a
-    ``spec -> RunResult | None`` callable consulted when re-deriving
-    surviving work after a worker death); the runner inspects the
-    signature and only passes what the executor supports, so minimal
-    two-argument executors keep working.
+    ``on_result`` is invoked as ``on_result(position, result)`` the
+    moment each trial completes — the runner persists and records
+    every result through it.
     """
 
     def map(self, fn: Callable[[TrialSpec], RunResult],
-            specs: Sequence[TrialSpec]) -> list[RunResult]:
+            specs: Sequence[TrialSpec],
+            on_result: Callable[[int, RunResult], None] | None = None,
+            ) -> list[RunResult]:
         ...  # pragma: no cover - protocol
 
 
@@ -1065,9 +1042,8 @@ class ParallelTrialExecutor:
     ``heartbeat_s`` wall-clock interval does not abort the sweep.
     Instead the pool is torn down (stuck workers are killed), a fresh
     pool is spawned, and the surviving work list is re-derived —
-    results already delivered are kept, trials the optional ``lookup``
-    (the runner's journal) already holds are replayed, and only the
-    rest are resubmitted.  After ``max_respawns`` pool replacements the
+    results already delivered are kept and only the rest are
+    resubmitted.  After ``max_respawns`` pool replacements the
     executor gives up with a :class:`RunnerError` naming the pending
     trials, so a poisoned spec cannot respawn-loop forever.
     """
@@ -1090,7 +1066,6 @@ class ParallelTrialExecutor:
     def map(self, fn: Callable[[TrialSpec], RunResult],
             specs: Sequence[TrialSpec],
             on_result: Callable[[int, RunResult], None] | None = None,
-            lookup: Callable[[TrialSpec], RunResult | None] | None = None,
             ) -> list[RunResult]:
         if not specs:
             return []
@@ -1101,7 +1076,7 @@ class ParallelTrialExecutor:
         pool = self._new_pool()
         try:
             futures = self._submit(pool, fn, specs, range(len(specs)),
-                                   results, lookup)
+                                   results)
             while futures:
                 done, _ = wait(set(futures), timeout=self.heartbeat_s,
                                return_when=FIRST_COMPLETED)
@@ -1116,7 +1091,7 @@ class ParallelTrialExecutor:
                                f"within {self.heartbeat_s:g}s")
                     pool = self._replace_pool(pool, kill=True)
                     futures = self._submit(pool, fn, specs, pending,
-                                           results, lookup)
+                                           results)
                     continue
                 broken: BrokenProcessPool | None = None
                 lost: list[int] = []
@@ -1142,7 +1117,7 @@ class ParallelTrialExecutor:
                         reason="a worker process died", cause=broken)
                     pool = self._replace_pool(pool, kill=False)
                     futures = self._submit(pool, fn, specs, pending,
-                                           results, lookup)
+                                           results)
         finally:
             self._abandon_pool(pool)
         return [results[position] for position in range(len(specs))]
@@ -1154,25 +1129,15 @@ class ParallelTrialExecutor:
                                    mp_context=self._mp_context)
 
     def _submit(self, pool: ProcessPoolExecutor, fn, specs,
-                positions, results, lookup) -> dict:
-        """Submit the given spec positions, consulting ``lookup`` first.
+                positions, results) -> dict:
+        """Submit the given spec positions that have no result yet.
 
-        Positions whose result is already known (delivered before a
-        pool death, or found in the journal via ``lookup``) are not
-        resubmitted — that is how a respawn "re-derives the surviving
-        work list" instead of redoing the whole sweep.
+        Positions delivered before a pool death are not resubmitted —
+        that is how a respawn "re-derives the surviving work list"
+        instead of redoing the whole sweep.
         """
-        futures: dict = {}
-        for position in positions:
-            if position in results:
-                continue
-            if lookup is not None:
-                survived = lookup(specs[position])
-                if survived is not None:
-                    results[position] = survived
-                    continue
-            futures[pool.submit(fn, specs[position])] = position
-        return futures
+        return {pool.submit(fn, specs[position]): position
+                for position in positions if position not in results}
 
     def _account_respawn(self, respawns: int, pending, specs,
                          reason: str, cause: Exception | None = None) -> int:
@@ -1211,9 +1176,15 @@ class ParallelTrialExecutor:
         are idle (nothing is lost), and on the give-up path a hung
         worker left alive would block interpreter exit when
         ``concurrent.futures`` joins its management threads.
+
+        The management thread is then joined (``wait=True``; the
+        workers are dead, so it returns promptly).  Left running, it
+        can close its wakeup pipe while the interpreter's exit hook
+        writes to it, and the hook prints an ``OSError: [Errno 9]``
+        traceback to stderr at exit.
         """
         self._kill_workers(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
     @staticmethod
     def _kill_workers(pool: ProcessPoolExecutor) -> None:
@@ -1357,32 +1328,17 @@ class TrialRunner:
                   results: dict[int, RunResult]) -> None:
         """Run the pending specs, persisting each result as it lands.
 
-        Persistence rides the executor's ``on_result`` callback (when
-        supported) so a sweep killed mid-run keeps everything already
-        finished; executors with a plain two-argument ``map`` are
-        persisted after the fact instead.
+        Persistence rides the executor's ``on_result`` callback, so a
+        sweep killed mid-run keeps everything already finished.
         """
-        specs = [spec for _, spec in pending]
-        persisted: set[int] = set()
 
         def on_result(position: int, result: RunResult) -> None:
             index, spec = pending[position]
             self._persist(spec, result)
             results[index] = result
-            persisted.add(position)
 
-        mapper = self.executor.map
-        kwargs: dict[str, Any] = {}
-        if _accepts_keyword(mapper, "on_result"):
-            kwargs["on_result"] = on_result
-        if self.journal is not None and _accepts_keyword(mapper, "lookup"):
-            kwargs["lookup"] = self.journal.get
-        fresh = mapper(execute_trial, specs, **kwargs)
-        for position, ((index, spec), result) in enumerate(
-                zip(pending, fresh)):
-            if position not in persisted:
-                self._persist(spec, result)
-                results[index] = result
+        self.executor.map(execute_trial, [spec for _, spec in pending],
+                          on_result=on_result)
 
     def _persist(self, spec: TrialSpec, result: RunResult) -> None:
         if self.cache is not None:

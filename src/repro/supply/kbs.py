@@ -166,4 +166,4 @@ class KeyBrokerService:
 
     def clean_log_entries(self) -> int:
         """Granted releases in the log — reconciles with ``released``."""
-        return sum(1 for entry in self.request_log if "!" not in entry)
+        return self.request_log.clean

@@ -121,7 +121,7 @@ class Registry:
     def clean_log_entries(self) -> int:
         """Successfully served requests — what pull counters reconcile
         against."""
-        return sum(1 for entry in self.request_log if "!" not in entry)
+        return self.request_log.clean
 
 
 @dataclass

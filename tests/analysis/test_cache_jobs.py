@@ -145,6 +145,46 @@ def test_cache_prunes_stale_keys(make_tree, tmp_path):
     assert len(second_keys) == len(first_keys)
 
 
+CYCLE_CALLER = """
+    from repro.attest.crypto import derived_keypair
+    from repro.cycle_sink import emit
+
+
+    def leaks(rng):
+        pair = derived_keypair(rng, "leak")
+        emit(pair)
+"""
+
+CYCLE_SINK = """
+    import warnings
+
+    from repro.cycle_caller import leaks
+
+
+    def emit(value):
+        warnings.warn(f"value={value}")
+
+
+    def again(rng):
+        return leaks(rng)
+"""
+
+
+def test_import_cycle_members_get_distinct_cache_keys(make_tree, tmp_path):
+    """Two modules importing each other share one import closure; a
+    project-scope finding in one must still replay exactly once."""
+    tree = make_tree({"attest/crypto.py": CRYPTO_STUB,
+                      "cycle_caller.py": CYCLE_CALLER,
+                      "cycle_sink.py": CYCLE_SINK})
+    cache = tmp_path / "lint-cache.json"
+    cold = run_lint([tree], cache_path=cache)
+    taint = [f for f in cold.findings if f.rule.startswith("taint/")]
+    assert len(taint) == 1 and taint[0].symbol == "leaks"
+    warm = run_lint([tree], cache_path=cache)
+    assert warm.cache_misses == 0
+    assert _renderings(warm) == _renderings(cold)
+
+
 def test_cache_key_includes_rule_and_schema():
     assert AnalysisCache.key("taint", 1, "abc") != \
         AnalysisCache.key("lock", 1, "abc")

@@ -1,15 +1,12 @@
-"""The unified CollateralTier protocol and its deprecation shims.
+"""The unified CollateralTier protocol and its two implementations.
 
 Exactly one collateral-tier implementation per economics model
-remains: :class:`~repro.attest.service.TieredCollateral` (documents
+exists: :class:`~repro.attest.service.TieredCollateral` (documents
 over a live context) and :class:`~repro.attest.tiers.ZonedCollateral`
-(fixed zone-scale costs), both under the
-:class:`~repro.attest.tiers.CollateralTier` ABC with the same
-``fetch(doc, now_ns)`` surface, tier labels, and counters.  The old
-import paths stay alive via warn-once shims.
+(fixed zone-scale costs, the cluster's per-zone tiers), both under
+the :class:`~repro.attest.tiers.CollateralTier` ABC with the same
+``fetch(doc, now_ns)`` surface, tier labels, and counters.
 """
-
-import warnings
 
 import pytest
 
@@ -79,15 +76,16 @@ class TestZonedCollateral:
         # same host again: host tier
         again = tier.fetch(doc, 0.0)
         assert again.tier == "host" and again.cost_ns == HOST_TIER_NS
-        assert tier.hits["origin"] == 1
-        assert tier.hits["cdn"] == 1
-        assert tier.hits["host"] == 1
+        assert tier.hits == {"host": 1, "cdn": 1, "origin": 1,
+                             "stale": 0, "outage_failures": 0,
+                             "local": 0}
 
     def test_non_networked_platform_is_local_and_free(self):
         tier = ZonedCollateral(("z1",))
         hit = tier.fetch(CollateralDoc(platform="cca", host="h1",
                                        zone="z1"), 0.0)
         assert hit.tier == "local" and hit.cost_ns == 0.0
+        assert tier.hits["local"] == 1
 
 
 class TestServiceTierFetch:
@@ -110,63 +108,3 @@ class TestServiceTierFetch:
         collateral = TieredCollateral(pcs)
         assert collateral.fetch(CollateralDoc(name="root_crl"),
                                 0.0) is None
-
-
-class TestDeprecationShims:
-    def test_service_collateraltier_alias_warns_once(self):
-        import repro.attest.service as service_mod
-        from repro.core.gateway import _WARNED
-
-        _WARNED.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = service_mod.CollateralTier
-        assert alias is TierStore
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        # second access: warn-once
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert service_mod.CollateralTier is TierStore
-        assert not caught
-
-    def test_service_module_unknown_attr_still_raises(self):
-        import repro.attest.service as service_mod
-
-        with pytest.raises(AttributeError):
-            service_mod.NoSuchThing
-
-    def test_zone_collateral_shim_warns_and_delegates(self):
-        from repro.core.cluster.collateral import ZoneCollateral
-        from repro.core.cluster.profiles import build_fleet
-        from repro.core.cluster.node import ClusterNode
-        from repro.core.gateway import _WARNED
-
-        _WARNED.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = ZoneCollateral(("z1",))
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-        node = ClusterNode(build_fleet(1, seed=3)[0])
-        cost = shim.fetch_ns(node, "tdx", 0.0)
-        assert cost == ORIGIN_TIER_NS
-        # legacy behaviour preserved: warmth mirrored onto the node
-        assert node.host_collateral["tdx"] is True
-        assert shim.fetch_ns(node, "tdx", 0.0) == HOST_TIER_NS
-        assert shim.hits["origin"] == 1 and shim.hits["host"] == 1
-
-    def test_zone_collateral_keys_warmth_by_node_identity(self):
-        from repro.core.cluster.collateral import ZoneCollateral
-        from repro.core.cluster.profiles import build_fleet
-        from repro.core.cluster.node import ClusterNode
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            shim = ZoneCollateral(("z1",))
-        profile = build_fleet(1, seed=4)[0]
-        one, two = ClusterNode(profile), ClusterNode(profile)
-        assert shim.fetch_ns(one, "tdx", 0.0) == ORIGIN_TIER_NS
-        # a distinct node with the same profile is not host-warm
-        assert shim.fetch_ns(two, "tdx", 0.0) == CDN_TIER_NS

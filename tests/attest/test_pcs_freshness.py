@@ -179,3 +179,11 @@ class TestRequestLog:
             pcs.fetch_qe_identity(ctx)
         assert len(pcs.request_log) == 4
         assert pcs.request_log.dropped == 2
+
+    def test_clean_total_counts_evicted_entries(self):
+        log = RequestLog(capacity=2)
+        for entry in ("/tcb", "/qe!timeout", "/tcb", "/crl!stale", "/qe"):
+            log.append(entry)
+        assert list(log) == ["/crl!stale", "/qe"]
+        assert log.dropped == 3
+        assert log.clean == 3

@@ -1,10 +1,9 @@
-"""The redesigned ConfBench facade: uniform signatures + telemetry."""
+"""The ConfBench facade: uniform keyword-only signatures + telemetry."""
 
 import warnings
 
 import pytest
 
-from repro.core import gateway as gateway_module
 from repro.core.api import ConfBench
 from repro.core.config import GatewayConfig, PlatformEntry
 from repro.errors import GatewayError
@@ -22,13 +21,6 @@ def bench():
     bench = ConfBench(config=small_config())
     bench.upload("cpustress")
     return bench
-
-
-@pytest.fixture(autouse=True)
-def reset_warn_once():
-    gateway_module._WARNED.clear()
-    yield
-    gateway_module._WARNED.clear()
 
 
 class TestUniformTrialsSemantics:
@@ -53,15 +45,7 @@ class TestUniformTrialsSemantics:
 
 
 class TestLegacyPositionalShim:
-    def test_positional_platform_warns_once(self, bench):
-        with pytest.warns(DeprecationWarning, match="positional platform"):
-            records = bench.invoke("cpustress", "lua", "tdx", False,
-                                   None, 1)
-        assert records[0].secure is False
-        # the second identical call is silent (warn-once)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bench.invoke("cpustress", "lua", "tdx", False, None, 1)
+    """The positional forms the removed shim accepted are TypeErrors."""
 
     def test_keyword_calls_do_not_warn(self, bench):
         with warnings.catch_warnings():
@@ -69,20 +53,21 @@ class TestLegacyPositionalShim:
             bench.invoke("cpustress", "lua", platform="tdx", trials=1)
 
     def test_too_many_positionals_is_type_error(self, bench):
-        with pytest.raises(TypeError, match="at most 4"):
-            bench.invoke("cpustress", "lua", "tdx", True, None, 1, "extra")
+        with pytest.raises(TypeError, match="positional argument"):
+            bench.invoke("cpustress", "lua", "tdx", True, None, 1)
 
     def test_positional_keyword_conflict_is_type_error(self, bench):
-        with pytest.raises(TypeError, match="multiple values"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError, match="positional argument"):
             bench.invoke("cpustress", "lua", "tdx", platform="sev-snp")
 
-    def test_invoke_native_shim_delegates(self, bench):
-        with pytest.warns(DeprecationWarning, match="invoke_native"):
-            records = bench.gateway.invoke_native(
-                "probe", lambda kernel: kernel.sys_getpid(), "tdx", True, 2)
-        assert len(records) == 2
+    @pytest.mark.parametrize("method, positional", [
+        ("run_classic", ("probe", lambda kernel: 0, "tdx")),
+        ("measure_overhead", ("cpustress", "lua", "tdx")),
+        ("measure_classic_overhead", ("probe", lambda kernel: 0, "tdx")),
+    ])
+    def test_every_method_is_keyword_only(self, bench, method, positional):
+        with pytest.raises(TypeError, match="positional argument"):
+            getattr(bench, method)(*positional)
 
 
 class TestFacadeTelemetry:

@@ -2,13 +2,22 @@
 
 Each class covers one module of :mod:`repro.core.cluster` in
 isolation — fleet construction, node lifecycle, placement policy,
-health probing, the brownout ladder, zone collateral, and the traffic
-generator.  End-to-end gateway sweeps live in
-``test_cluster_gateway.py``.
+health probing, the brownout ladder, zone collateral as the gateway
+resolves it per node, and the traffic generator.  End-to-end gateway
+sweeps live in ``test_cluster_gateway.py``; the tier store itself is
+tested with the other collateral-tier implementation in
+``tests/attest/test_collateral_tiers.py``.
 """
 
 import pytest
 
+from repro.attest.tiers import (
+    CDN_TIER_NS,
+    HOST_TIER_NS,
+    ORIGIN_TIER_NS,
+    CollateralDoc,
+    ZonedCollateral,
+)
 from repro.core.cluster import (
     DEFAULT_ZONES,
     BrownoutLevel,
@@ -20,13 +29,7 @@ from repro.core.cluster import (
     TenantMix,
     TrafficGenerator,
     TrafficSpec,
-    ZoneCollateral,
     build_fleet,
-)
-from repro.core.cluster.collateral import (
-    CDN_TIER_NS,
-    HOST_TIER_NS,
-    ORIGIN_TIER_NS,
 )
 from repro.errors import GatewayError
 
@@ -235,14 +238,24 @@ class TestBrownoutLadder:
             OverloadController(queue_cap=10, telemetry_at=0.9, queue_at=0.5)
 
 
+def node_fetch(collateral, node, platform, now_ns):
+    """Resolve one node's collateral the way the cluster gateway does."""
+    return collateral.fetch(CollateralDoc(platform=platform,
+                                          host=node.profile.name,
+                                          zone=node.profile.zone),
+                            now_ns)
+
+
 class TestZoneCollateral:
     def test_tiers_warm_on_the_way_through(self):
         nodes = [ClusterNode(p) for p in build_fleet(2)]
-        collateral = ZoneCollateral(DEFAULT_ZONES)
+        collateral = ZonedCollateral(DEFAULT_ZONES)
         # cold everywhere: origin, warming CDN + host
-        assert collateral.fetch_ns(nodes[0], "tdx", 0.0) == ORIGIN_TIER_NS
+        hit = node_fetch(collateral, nodes[0], "tdx", 0.0)
+        assert hit.tier == "origin" and hit.cost_ns == ORIGIN_TIER_NS
         # same node again: host tier
-        assert collateral.fetch_ns(nodes[0], "tdx", 0.0) == HOST_TIER_NS
+        hit = node_fetch(collateral, nodes[0], "tdx", 0.0)
+        assert hit.tier == "host" and hit.cost_ns == HOST_TIER_NS
         assert collateral.hits == {"host": 1, "cdn": 0, "origin": 1,
                                    "stale": 0, "outage_failures": 0,
                                    "local": 0}
@@ -251,30 +264,39 @@ class TestZoneCollateral:
         fleet = build_fleet(6)
         same_zone = [p for p in fleet if p.zone == fleet[0].zone]
         a, b = ClusterNode(same_zone[0]), ClusterNode(same_zone[1])
-        collateral = ZoneCollateral(DEFAULT_ZONES)
-        collateral.fetch_ns(a, "tdx", 0.0)                       # origin
-        assert collateral.fetch_ns(b, "tdx", 0.0) == CDN_TIER_NS
+        collateral = ZonedCollateral(DEFAULT_ZONES)
+        node_fetch(collateral, a, "tdx", 0.0)                    # origin
+        hit = node_fetch(collateral, b, "tdx", 0.0)
+        assert hit.tier == "cdn" and hit.cost_ns == CDN_TIER_NS
 
     def test_outage_serves_stale_when_cdn_warm(self):
-        node = ClusterNode(build_fleet(1)[0])
-        sibling = ClusterNode(build_fleet(1)[0])
-        collateral = ZoneCollateral(DEFAULT_ZONES)
-        collateral.fetch_ns(node, "tdx", 0.0)                    # warm CDN
+        fleet = build_fleet(12)
+        same_zone = [p for p in fleet if p.zone == fleet[0].zone]
+        node, sibling = ClusterNode(same_zone[0]), ClusterNode(same_zone[1])
+        collateral = ZonedCollateral(DEFAULT_ZONES)
+        node_fetch(collateral, node, "tdx", 0.0)                 # warm CDN
         collateral.outages[node.profile.zone] = (10.0, 100.0)
-        assert collateral.fetch_ns(sibling, "tdx", 50.0) == CDN_TIER_NS
+        hit = node_fetch(collateral, sibling, "tdx", 50.0)
+        assert hit.tier == "stale" and hit.cost_ns == CDN_TIER_NS
         assert collateral.hits["stale"] == 1
+        # the outage window is end-exclusive: the replica is fresh again
+        third = ClusterNode(same_zone[2])
+        assert node_fetch(collateral, third, "tdx", 100.0).tier == "cdn"
 
     def test_outage_with_cold_cdn_fails_the_boot(self):
         node = ClusterNode(build_fleet(1)[0])
-        collateral = ZoneCollateral(DEFAULT_ZONES)
+        collateral = ZonedCollateral(DEFAULT_ZONES)
         collateral.outages[node.profile.zone] = (0.0, 100.0)
-        assert collateral.fetch_ns(node, "tdx", 50.0) is None
+        assert node_fetch(collateral, node, "tdx", 50.0) is None
         assert collateral.hits["outage_failures"] == 1
+        # nothing was warmed by the failed resolution
+        assert node_fetch(collateral, node, "tdx", 100.0).tier == "origin"
 
     def test_cca_has_nothing_to_fetch(self):
         node = ClusterNode(build_fleet(1)[0])
-        collateral = ZoneCollateral(DEFAULT_ZONES)
-        assert collateral.fetch_ns(node, "cca", 0.0) == 0.0
+        collateral = ZonedCollateral(DEFAULT_ZONES)
+        hit = node_fetch(collateral, node, "cca", 0.0)
+        assert hit.tier == "local" and hit.cost_ns == 0.0
         assert collateral.hits["local"] == 1
 
 

@@ -183,10 +183,11 @@ class TestGateway:
         ))[0]
         assert not record.secure
 
-    def test_invoke_native_runs_classic_workload(self):
+    def test_invoke_classic_runs_classic_workload(self):
         gateway = Gateway(small_config())
-        records = gateway.invoke_native(
-            "probe", lambda k: k.sys_getpid(), "tdx", True, 2,
+        records = gateway.invoke_classic(
+            "probe", lambda k: k.sys_getpid(), platform="tdx", secure=True,
+            trials=2,
         )
         assert len(records) == 2
         assert records[0].language is None

@@ -1,8 +1,7 @@
 """Full coverage of the versioned REST surface and its error envelope.
 
 Runs a real ``RestServer`` on an ephemeral port and exercises every
-route twice — through the legacy unprefixed path and the ``/v1``
-alias — plus the uniform error envelope on each failure class.
+``/v1`` route, plus the uniform error envelope on each failure class.
 """
 
 import json
@@ -58,15 +57,13 @@ def assert_envelope(payload, code):
 
 
 class TestRouteAliases:
-    """Every resource answers identically on /x and /v1/x."""
+    """Only ``/v1`` paths are routes; unprefixed paths are not aliases."""
 
-    @pytest.mark.parametrize("path", ["/health", "/platforms", "/functions",
-                                      "/metrics", "/stats"])
-    def test_get_routes_legacy_equals_v1(self, server, path):
-        legacy = call(server, "GET", path)
-        versioned = call(server, "GET", f"/v1{path}")
-        assert legacy[0] == versioned[0] == 200
-        assert legacy[2] == versioned[2]
+    def test_unprefixed_path_is_404(self, server):
+        for method, path in (("GET", "/health"), ("POST", "/invoke")):
+            status, _, payload = call(server, method, path)
+            assert status == 404
+            assert_envelope(payload, "not_found")
 
     def test_health_payload(self, server):
         assert call(server, "GET", "/v1/health")[2] == {"status": "ok"}
@@ -75,17 +72,15 @@ class TestRouteAliases:
         names = {p["name"] for p in call(server, "GET", "/v1/platforms")[2]}
         assert names == {"tdx", "novm"}
 
-    @pytest.mark.parametrize("prefix", ["", "/v1"])
-    def test_upload_on_both_paths(self, server, prefix):
-        status, _, payload = call(server, "POST", f"{prefix}/functions",
+    def test_upload(self, server):
+        status, _, payload = call(server, "POST", "/v1/functions",
                                   body={"name": "factors"})
         assert status == 201
         assert payload == {"uploaded": "factors"}
-        assert "factors" in call(server, "GET", f"{prefix}/functions")[2]
+        assert "factors" in call(server, "GET", "/v1/functions")[2]
 
-    @pytest.mark.parametrize("prefix", ["", "/v1"])
-    def test_invoke_on_both_paths(self, server, prefix):
-        status, _, records = call(server, "POST", f"{prefix}/invoke",
+    def test_invoke(self, server):
+        status, _, records = call(server, "POST", "/v1/invoke",
                                   body={"function": "cpustress",
                                         "language": "lua", "trials": 1})
         assert status == 200
@@ -174,14 +169,6 @@ class TestStrictV1Invoke:
                                         "bogus": 1})
         assert status == 400
         assert "bogus" in payload["error"]["message"]
-
-    def test_unknown_field_ignored_on_legacy(self, server):
-        status, _, records = call(server, "POST", "/invoke",
-                                  body={"function": "cpustress",
-                                        "language": "lua", "trials": 1,
-                                        "bogus": 1})
-        assert status == 200
-        assert len(records) == 1
 
 
 class TestTelemetryRoutes:

@@ -137,7 +137,7 @@ class TestCache:
         class Exploding:
             jobs = 1
 
-            def map(self, fn, specs):
+            def map(self, fn, specs, on_result=None):
                 raise AssertionError("cache should have satisfied all specs")
 
         second = TrialRunner(executor=Exploding(), cache=cache2).run(plan)

@@ -59,6 +59,18 @@ class TestRelease:
         assert kbs.stats["released"] == 1
         assert kbs.clean_log_entries() == 1
 
+    def test_clean_total_reconciles_past_log_capacity(self):
+        attestor = LaunchAttestor("tdx", seed=21)
+        kbs = KeyBrokerService(attestor.service, log_capacity=2)
+        bundle = build_image("app", "v1", SimRng(21, "kbs-image"))
+        kbs.register_bundle(bundle)
+        for vm_id in ("vm-1", "vm-2", "vm-3"):
+            ctx = attestor.admission_context(vm_id)
+            kbs.release(attestor.make_job(vm_id, ctx),
+                        bundle.manifest.key_ids, ctx)
+        assert len(kbs.request_log) == 2
+        assert kbs.clean_log_entries() == kbs.stats["released"] == 3
+
     def test_resumption_grants_without_origin_hit(self):
         attestor, kbs, bundle = make_broker()
         ctx = attestor.admission_context("vm-1")
