@@ -7,14 +7,16 @@ zone-partition faults landing mid-traffic) three times:
 
 1. *baseline* — uninterrupted, no journal, ``--trace-out`` captured;
 2. *interrupted* — the same sweep with ``--resume JOURNAL``, launched
-   as a subprocess, polled until the journal holds at least one trial
-   entry, then killed with SIGKILL (no chance to clean up — at worst a
-   torn final journal line, which recovery must truncate);
+   as a subprocess in its own process group, polled until the journal
+   holds at least one trial entry, then the whole group — the CLI and
+   any pool workers — is killed with SIGKILL (no chance to clean up —
+   at worst a torn final journal line, which recovery must truncate);
 3. *resumed* — the same command again against the same journal, run to
    completion.
 
-The resumed run's artifact (trace JSON for fig5, canonical metrics
-snapshot for fig9) must be byte-identical to the baseline's.
+The resumed run's artifact (trace JSON for fig5, the rendered figure
+for fig9) must be byte-identical to the baseline's, and the kill must
+leave no process of the interrupted sweep alive.
 Scenarios cover serial and parallel execution, with and without fault
 injection, plus a cluster chaos scenario.  Exit status 0 means every
 scenario held; 1 names the ones that did not.
@@ -121,16 +123,39 @@ def journaled_trials(path: Path) -> int:
                if b'"kind": "trial"' in line and line.endswith(b"}"))
 
 
-def interrupt_sweep(args: list[str], journal: Path, timeout: float) -> int:
-    """Start the sweep, SIGKILL it once the journal has an entry.
+def live_group_members(pgid: int) -> int:
+    """Processes in process group ``pgid`` that are not yet dead.
 
-    Returns the number of trials journaled at kill time.  A sweep fast
-    enough to finish before the poll sees an entry simply completes —
-    the resume step then exercises pure replay instead of a tail run.
+    Reads ``/proc`` (Linux): a killed process lingers as a zombie until
+    its parent reaps it, so zombies do not count as left behind.
+    """
+    live = 0
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue            # exited while we looked
+        state, pgrp = fields[0], int(fields[2])
+        live += pgrp == pgid and state != "Z"
+    return live
+
+
+def interrupt_sweep(args: list[str], journal: Path,
+                    timeout: float) -> tuple[int, int]:
+    """Start the sweep, SIGKILL its whole process group once the
+    journal has an entry.
+
+    The sweep runs in its own session, so the kill reaches the CLI
+    and every pool worker it forked; a worker left alive would be an
+    orphan still writing to the journal.  Returns the number of
+    trials journaled at kill time and the number of processes still
+    alive in the group afterwards (it must be 0).  A sweep fast enough
+    to finish before the poll sees an entry simply completes — the
+    resume step then exercises pure replay instead of a tail run.
     """
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *args],
-        cwd=REPO, env=cli_env(),
+        cwd=REPO, env=cli_env(), start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT,
     )
     deadline = time.monotonic() + timeout
@@ -140,10 +165,16 @@ def interrupt_sweep(args: list[str], journal: Path, timeout: float) -> int:
                 break
             time.sleep(0.01)
     finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass                # the sweep finished and left nothing
         proc.wait()
-    return journaled_trials(journal)
+    # orphaned workers die asynchronously: give the kill a moment
+    settle = time.monotonic() + 5.0
+    while live_group_members(proc.pid) and time.monotonic() < settle:
+        time.sleep(0.01)
+    return journaled_trials(journal), live_group_members(proc.pid)
 
 
 def run_scenario(name: str, workdir: Path, trials: int,
@@ -161,13 +192,13 @@ def run_scenario(name: str, workdir: Path, trials: int,
 
     if artifact == "stdout":
         run_cli(common, timeout, stdout_to=baseline)
-        at_kill = interrupt_sweep(
+        at_kill, left = interrupt_sweep(
             [*common, "--resume", str(journal)], journal, timeout)
         run_cli([*common, "--resume", str(journal)], timeout,
                 stdout_to=resumed)
     else:
         run_cli([*common, artifact, str(baseline)], timeout)
-        at_kill = interrupt_sweep(
+        at_kill, left = interrupt_sweep(
             [*common, "--resume", str(journal),
              artifact, str(workdir / "interrupted.json")],
             journal, timeout)
@@ -175,9 +206,10 @@ def run_scenario(name: str, workdir: Path, trials: int,
                  artifact, str(resumed)], timeout)
 
     identical = baseline.read_bytes() == resumed.read_bytes()
-    detail = (f"killed with {at_kill} trial(s) journaled; "
-              f"resumed trace {'==' if identical else '!='} baseline")
-    return identical, detail
+    detail = (f"killed with {at_kill} trial(s) journaled, {left} "
+              f"process(es) left in its group; resumed trace "
+              f"{'==' if identical else '!='} baseline")
+    return identical and left == 0, detail
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -28,10 +28,14 @@ production answer, three mechanisms deep:
   ``next_update`` invalidates it, so resumption can never outlive
   the evidence it was minted from.
 
+:class:`AttestationInfrastructure` builds one platform's Fig. 5 flow;
+:class:`LaunchAttestor` and the attestation trial bodies share it.
+
 Layering: this module sits in ``attest`` (below ``obs``), so metrics
 flow through the duck-typed sink protocol (``count`` / ``set_gauge``
-/ ``observe``) — the gateway wires its registry in, the experiment
-harness folds the counters in afterwards.
+/ ``observe``) — the gateway wires its registry in live.  Trial bodies
+run where no live sink exists, so they return the components' plain
+``stats`` dicts and the experiment harness folds them in afterwards.
 """
 
 from __future__ import annotations
@@ -46,16 +50,23 @@ from repro.attest.pcs import (
     IntelPcs,
     Staleness,
 )
+from repro.attest.snp_report import AmdKeyInfrastructure, generate_snp_report
+from repro.attest.tdx_quote import QuotingEnclave, generate_tdx_quote
 from repro.attest.tiers import (
     CollateralDoc,
     CollateralTier,
     TierHit,
     TierStore,
 )
+from repro.attest.verifier import SnpVerifier, TdxVerifier
 from repro.errors import AttestationError, CollateralTimeoutError
 from repro.guestos.context import ExecContext
+from repro.hw.machine import epyc_9124, xeon_gold_5515
 from repro.hw.nic import NicModel, lan_path
+from repro.sim.faults import CircuitBreaker
 from repro.sim.rng import SimRng
+from repro.tee.sevsnp import AmdSecureProcessor
+from repro.tee.tdx import TdxModule
 
 #: Cost of a host-local collateral lookup (shared-memory/IPC, no NIC).
 HOST_HIT_NS = 30_000.0
@@ -277,11 +288,6 @@ class TieredCollateral(CollateralTier):
         self.host.entries.clear()
         self.cdn.entries.clear()
 
-    def emit(self, sink, prefix: str = "attest.collateral") -> None:
-        """Fold the tier counters into a metrics sink."""
-        for name, value in sorted(self.stats.items()):
-            sink.count(f"{prefix}.{name}", value)
-
 
 @dataclass
 class AttestationSession:
@@ -383,11 +389,6 @@ class SessionCache:
     def _invalidate(self, measurement: str, cause: str) -> None:
         del self._sessions[measurement]
         self.stats[f"invalidated.{cause}"] += 1
-
-    def emit(self, sink, prefix: str = "attest.sessions") -> None:
-        for name, value in sorted(self.stats.items()):
-            sink.count(f"{prefix}.{name}", value)
-        sink.set_gauge(f"{prefix}.live", len(self._sessions))
 
 
 @dataclass
@@ -589,20 +590,74 @@ class VerifierService:
             self.metrics.observe(f"{prefix}.verify_latency_ns",
                                  verdict.latency_ns)
 
-    def emit(self, sink, prefix: str = "attest.service") -> None:
-        """Fold service + session + tier counters into a sink.
 
-        Used by harnesses that run the service inside worker processes
-        (where no live sink can be attached) and fold the returned
-        stats in afterwards, in spec order.
-        """
-        base = f"{prefix}.{self.name}"
-        for name, value in sorted(self.stats.items()):
-            sink.count(f"{base}.{name}", value)
-        sink.set_gauge(f"{base}.queue_depth_peak", self.queue_depth_peak)
-        self.sessions.emit(sink, prefix=f"{base}.sessions")
-        if self.collateral is not None:
-            self.collateral.emit(sink, prefix=f"{base}.collateral")
+# ---------------------------------------------------------------------------
+# One platform's attestation infrastructure
+# ---------------------------------------------------------------------------
+
+class AttestationInfrastructure:
+    """One platform's fixed Fig. 5 flow, and the only code that builds it.
+
+    TDX: the TD module and the Quoting Enclave quote, checked against
+    Intel PCS collateral.  SEV-SNP: the AMD-SP signs a report, checked
+    against the VCEK chain.  ``breaker`` guards the PCS fetches on TDX
+    and the verifier on SNP.  A plain class, because a dataclass
+    ``__repr__`` would print the signing keys its attributes hold.
+    """
+
+    SUPPORTED = ("tdx", "sev-snp")
+
+    def __init__(self, platform: str, rng: SimRng,
+                 breaker: CircuitBreaker | None = None) -> None:
+        if platform not in self.SUPPORTED:
+            raise AttestationError(
+                f"no attestation flow for platform {platform!r}; "
+                f"supported: {', '.join(self.SUPPORTED)}")
+        self.platform = platform
+        self.breaker = breaker
+        if platform == "tdx":
+            self.pcs: IntelPcs | None = IntelPcs(rng, breaker=breaker)
+            self.qe = QuotingEnclave(self.pcs, rng)
+            self.module = TdxModule()
+        else:
+            self.pcs = None
+            self.keys = AmdKeyInfrastructure(rng)
+            self.amd_sp = AmdSecureProcessor()
+
+    def evidence(self, ctx: ExecContext, nonce: bytes,
+                 identity: str | None = None):
+        """The "attest" phase; ``identity=None`` keeps the default."""
+        if self.platform == "tdx":
+            named = {} if identity is None else {"td_identity": identity}
+            return generate_tdx_quote(self.module, self.qe, self.pcs, ctx,
+                                      nonce, **named)
+        named = {} if identity is None else {"guest_identity": identity}
+        return generate_snp_report(self.amd_sp, self.keys, ctx, nonce,
+                                   **named)
+
+    def job(self, identity: str, nonce: bytes,
+            arrival_ns: float = 0.0) -> VerificationJob:
+        """A verification job for ``identity``, evidence built lazily."""
+        return VerificationJob(
+            measurement=identity, nonce=nonce,
+            build_evidence=lambda ctx: self.evidence(ctx, nonce, identity),
+            arrival_ns=arrival_ns)
+
+    def verifier(self, collateral: TieredCollateral | None = None):
+        """The platform verifier; on TDX it reads ``collateral`` if set."""
+        if self.platform == "tdx":
+            return TdxVerifier(self.pcs, collateral=collateral)
+        return SnpVerifier(self.keys, breaker=self.breaker)
+
+    def service(self, name: str, cdn: TierStore | None = None,
+                concurrency: int = 4, metrics=None) -> VerifierService:
+        """A verifier service; on TDX it resolves collateral through
+        its own :class:`TieredCollateral` behind ``cdn``."""
+        collateral = (TieredCollateral(self.pcs, cdn=cdn)
+                      if self.pcs is not None else None)
+        return VerifierService(name, self.verifier(collateral),
+                               collateral=collateral,
+                               concurrency=concurrency, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -627,55 +682,30 @@ class Admission:
 class LaunchAttestor:
     """Per-platform attestation infrastructure for pool admission.
 
-    Owns the signing infrastructure (Intel PCS + QE + TDX module, or
-    the AMD key hierarchy + AMD-SP), a :class:`VerifierService`, and a
-    machine model to price admission work on.  ``admit`` attests one
-    worker VM: the first admission of a measurement pays the full
-    attest + check path (warming the collateral tiers), later
-    admissions of the same measurement resume their session.
+    Owns the platform's :class:`AttestationInfrastructure`, a
+    :class:`VerifierService` in front of it, and a machine model to
+    price admission work on.  ``admit`` attests one worker VM: the
+    first admission of a measurement pays the full attest + check path
+    (warming the collateral tiers), later admissions of the same
+    measurement resume their session.
 
     Platforms without a modelled attestation flow (``cca``, ``novm``)
     are not supported — construct only for :data:`SUPPORTED`.
     """
 
-    SUPPORTED = ("tdx", "sev-snp")
+    SUPPORTED = AttestationInfrastructure.SUPPORTED
 
-    def __init__(self, platform: str, seed: int = 0, concurrency: int = 4,
-                 cdn: TierStore | None = None, metrics=None) -> None:
-        if platform not in self.SUPPORTED:
-            raise AttestationError(
-                f"no attestation flow for platform {platform!r}; "
-                f"supported: {', '.join(self.SUPPORTED)}")
-        from repro.hw.machine import epyc_9124, xeon_gold_5515
+    #: the host each platform's attestation plane runs on
+    _MACHINES = {"tdx": xeon_gold_5515, "sev-snp": epyc_9124}
 
+    def __init__(self, platform: str, seed: int = 0, metrics=None) -> None:
         self.platform = platform
         self.rng = SimRng(seed, f"launch-attestor/{platform}")
         self._admissions = 0
-        if platform == "tdx":
-            from repro.attest.tdx_quote import QuotingEnclave
-            from repro.attest.verifier import TdxVerifier
-            from repro.tee.tdx import TdxModule
-
-            self._machine_factory = xeon_gold_5515
-            self.pcs = IntelPcs(self.rng)
-            self._qe = QuotingEnclave(self.pcs, self.rng)
-            self._module = TdxModule()
-            self.collateral = TieredCollateral(self.pcs, cdn=cdn)
-            verifier = TdxVerifier(self.pcs, collateral=self.collateral)
-        else:
-            from repro.attest.snp_report import AmdKeyInfrastructure
-            from repro.attest.verifier import SnpVerifier
-            from repro.tee.sevsnp import AmdSecureProcessor
-
-            self._machine_factory = epyc_9124
-            self.pcs = None
-            self.collateral = None
-            self._keys = AmdKeyInfrastructure(self.rng)
-            self._amd_sp = AmdSecureProcessor()
-            verifier = SnpVerifier(self._keys)
-        self.service = VerifierService(
-            platform, verifier, collateral=self.collateral,
-            concurrency=concurrency, metrics=metrics)
+        self.infrastructure = AttestationInfrastructure(platform, self.rng)
+        self.pcs = self.infrastructure.pcs
+        self.service = self.infrastructure.service(platform, metrics=metrics)
+        self.collateral = self.service.collateral
 
     def admission_context(self, vm_id: str) -> ExecContext:
         """A private context for one admission of ``vm_id``.
@@ -685,7 +715,7 @@ class LaunchAttestor:
         nonces.  Consumes one admission slot per call.
         """
         ctx = ExecContext(
-            machine=self._machine_factory(),
+            machine=self._MACHINES[self.platform](),
             rng=self.rng.child(f"admit/{vm_id}/{self._admissions}"))
         self._admissions += 1
         return ctx
@@ -698,10 +728,8 @@ class LaunchAttestor:
         on the same evidence) can route the job through their own
         policy before or instead of the plain admit path.
         """
-        nonce = ctx.rng.child("nonce").bytes(16)
-        return VerificationJob(
-            measurement=vm_id, nonce=nonce,
-            build_evidence=self._evidence_builder(vm_id, nonce))
+        return self.infrastructure.job(vm_id,
+                                       ctx.rng.child("nonce").bytes(16))
 
     def admit(self, vm_id: str) -> Admission:
         """Attest one launch of the VM identified by ``vm_id``."""
@@ -712,19 +740,4 @@ class LaunchAttestor:
             raise AttestationError(
                 f"{self.platform}: launch attestation rejected for {vm_id}")
         return Admission(verdict=verdict, latency_ns=ctx.ledger.total())
-
-    def _evidence_builder(self, vm_id: str, nonce: bytes):
-        if self.platform == "tdx":
-            from repro.attest.tdx_quote import generate_tdx_quote
-
-            def build(ctx: ExecContext):
-                return generate_tdx_quote(self._module, self._qe, self.pcs,
-                                          ctx, nonce, td_identity=vm_id)
-        else:
-            from repro.attest.snp_report import generate_snp_report
-
-            def build(ctx: ExecContext):
-                return generate_snp_report(self._amd_sp, self._keys, ctx,
-                                           nonce, guest_identity=vm_id)
-        return build
 

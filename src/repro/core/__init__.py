@@ -26,6 +26,8 @@ The pieces map one-to-one onto the paper's architecture (Fig. 2):
 - :mod:`repro.core.runner` — the unified trial-execution pipeline
   (:class:`TrialPlan` → :class:`TrialRunner`, serial or parallel)
   every experiment harness runs on.
+- :mod:`repro.core.scenarios` — the built-in trial bodies the runner
+  executes, registered on import.
 """
 
 from repro.core.api import ConfBench
@@ -44,6 +46,7 @@ from repro.core.runner import (
     TrialRunner,
     TrialSpec,
 )
+import repro.core.scenarios  # noqa: F401  (registers the built-in kinds)
 from repro.core.storage import FunctionStore, StoredFunction
 
 __all__ = [

@@ -455,26 +455,10 @@ class ClusterGateway:
 
     def _place(self, req: _Request,
                excluded: tuple[str, ...]) -> ClusterNode | None:
-        if not excluded:
-            return self.scheduler.place(req.platform, req.secure,
-                                        req.memory_mib)
-        # zone-excluding retry path (collateral blackout): temporarily
-        # narrow the scheduler's view instead of growing its API
-        node = self.scheduler.place(req.platform, req.secure,
-                                    req.memory_mib)
-        seen: tuple[str, ...] = ()
-        while node is not None and node.profile.zone in excluded:
-            # mark-and-skip: flip state so the scheduler skips it, then
-            # restore after the scan (bounded by the zone count)
-            node.state = NodeState.SUSPECT
-            seen = seen + (node.profile.name,)
-            node = self.scheduler.place(req.platform, req.secure,
-                                        req.memory_mib)
-        for name in seen:
-            for candidate in self.nodes:
-                if candidate.profile.name == name:
-                    candidate.state = NodeState.HEALTHY
-        return node
+        """Place ``req`` outside the ``excluded`` zones (the zones whose
+        collateral blackout already failed this request's boot)."""
+        return self.scheduler.place(req.platform, req.secure,
+                                    req.memory_mib, excluded)
 
     def _on_complete(self, now_ns: float, attempt: _Attempt) -> None:
         if attempt.dead:

@@ -35,26 +35,33 @@ class PlacementScheduler:
         self.nodes = nodes
         self.affinity_misses = 0
 
-    def place(self, platform: str, secure: bool,
-              memory_mib: int) -> ClusterNode | None:
-        """Pick a node, or None when nothing healthy fits."""
-        node = self._pick(platform, secure, memory_mib)
+    def place(self, platform: str, secure: bool, memory_mib: int,
+              excluded: tuple[str, ...] = ()) -> ClusterNode | None:
+        """Pick a node outside the ``excluded`` zones, or None when
+        nothing healthy fits.
+
+        A relaxed placement counts one affinity miss, however many
+        zones are excluded.
+        """
+        node = self._pick(platform, secure, memory_mib, excluded)
         if node is not None:
             return node
-        node = self._pick(None, secure, memory_mib)
+        node = self._pick(None, secure, memory_mib, excluded)
         if node is not None:
             self.affinity_misses += 1
         return node
 
-    def _pick(self, platform: str | None, secure: bool,
-              memory_mib: int) -> ClusterNode | None:
+    def _pick(self, platform: str | None, secure: bool, memory_mib: int,
+              excluded: tuple[str, ...]) -> ClusterNode | None:
         """Best-fit among healthy candidates (optionally affine)."""
         if secure:
-            return self._pick_spread(platform, memory_mib)
+            return self._pick_spread(platform, memory_mib, excluded)
         best = None
         best_key = None
         for node in self.nodes:
             if node.state is not NodeState.HEALTHY:
+                continue
+            if node.profile.zone in excluded:
                 continue
             if platform is not None and node.profile.platform != platform:
                 continue
@@ -65,8 +72,8 @@ class PlacementScheduler:
                 best, best_key = node, key
         return best
 
-    def _pick_spread(self, platform: str | None,
-                     memory_mib: int) -> ClusterNode | None:
+    def _pick_spread(self, platform: str | None, memory_mib: int,
+                     excluded: tuple[str, ...]) -> ClusterNode | None:
         """Zone-spread then best-fit, for secure requests."""
         zone_load: dict[str, int] = {}
         for node in self.nodes:
@@ -76,6 +83,8 @@ class PlacementScheduler:
         best_key = None
         for node in self.nodes:
             if node.state is not NodeState.HEALTHY:
+                continue
+            if node.profile.zone in excluded:
                 continue
             if platform is not None and node.profile.platform != platform:
                 continue

@@ -23,8 +23,10 @@ hand.  This module lifts it into three pieces:
 Workload *bodies* (the callables a VM executes) cannot be pickled to
 worker processes, so specs reference them declaratively through a
 body-factory registry keyed by ``kind``; workers rebuild (and memoize)
-the body from the spec.  Use :func:`body_factory` to register custom
-kinds.
+the body from the spec.  This module is only the pipeline: the
+built-in bodies live in :mod:`repro.core.scenarios`, which registers
+them through :func:`body_factory` on every import of this module.
+Use :func:`body_factory` to register custom kinds.
 """
 
 from __future__ import annotations
@@ -277,9 +279,10 @@ def body_factory(kind: str):
 
     The factory receives the spec and returns the VM-executable body
     (a callable taking the guest kernel).  Factories must be
-    importable at module scope — worker processes re-import this
-    module to rebuild bodies — and the returned body must be reusable
-    across trials (it is memoized per unique spec parameters).
+    registered at module scope — a worker process rebuilds bodies
+    only for kinds its imports registered — and the returned body
+    must be reusable across trials (it is memoized per unique spec
+    parameters).
     """
 
     def decorate(factory: Callable[[TrialSpec], Callable]):
@@ -312,544 +315,6 @@ def build_body(spec: TrialSpec) -> Callable:
     """
     return _cached_body(spec.kind, spec.workload, spec.runtime,
                         spec.params_json, spec.platform)
-
-
-@body_factory("faas")
-def _faas_body(spec: TrialSpec) -> Callable:
-    """A FaaS function under a language runtime (Figs. 6/7/8)."""
-    from repro.core.launcher import FunctionLauncher
-    from repro.workloads.faas.registry import workload_by_name
-
-    if spec.runtime is None:
-        raise RunnerError("faas trials need a runtime (language)")
-    workload = workload_by_name(spec.workload)
-    launcher = FunctionLauncher.for_language(spec.runtime)
-    return launcher.launch(workload, spec.params.get("args") or None)
-
-
-@body_factory("ml")
-def _ml_body(spec: TrialSpec) -> Callable:
-    """MobileNet inference over the synthetic image set (Fig. 3)."""
-    from repro.workloads.ml import (
-        MobileNetLite,
-        generate_dataset,
-        run_inference_workload,
-    )
-
-    params = spec.params
-    model = MobileNetLite(seed=params.get("model_seed", 0))
-    dataset = generate_dataset(count=params.get("count", 40),
-                               side=params.get("side", 296),
-                               seed=params.get("dataset_seed", 0))
-
-    def body(kernel):
-        return [
-            r.elapsed_ns
-            for r in run_inference_workload(kernel, model, dataset)
-        ]
-
-    return body
-
-
-@body_factory("unixbench")
-def _unixbench_body(spec: TrialSpec) -> Callable:
-    """The UnixBench-style suite (Fig. 4)."""
-    from repro.workloads.unixbench import run_unixbench
-
-    scale = spec.params.get("scale", 1.0)
-    engine = spec.params.get("engine", "batch")
-
-    def body(kernel):
-        report = run_unixbench(kernel, scale=scale, engine=engine)
-        return {
-            "index": report.system_index,
-            "tests": {s.key: s.elapsed_ns for s in report.scores},
-        }
-
-    return body
-
-
-@body_factory("speedtest")
-def _speedtest_body(spec: TrialSpec) -> Callable:
-    """The mini-DBMS speedtest suite (§IV-C table)."""
-    from repro.workloads.dbms import Database, KernelCostHooks, run_speedtest
-    from repro.workloads.dbms.speedtest import DEFAULT_SIZE
-
-    size = spec.params.get("size", DEFAULT_SIZE)
-
-    def body(kernel):
-        database = Database(hooks=KernelCostHooks(kernel))
-        return [
-            (r.test_id, r.name, r.elapsed_ns)
-            for r in run_speedtest(database, size=size,
-                                   clock=kernel.ctx.elapsed_ns)
-        ]
-
-    return body
-
-
-@body_factory("attestation")
-def _attestation_body(spec: TrialSpec) -> Callable:
-    """One attest + check round, phases traced as sub-spans (Fig. 5)."""
-    from repro.attest import (
-        AmdKeyInfrastructure,
-        IntelPcs,
-        QuotingEnclave,
-        SnpVerifier,
-        TdxVerifier,
-        generate_snp_report,
-        generate_tdx_quote,
-    )
-    from repro.errors import AttestationError
-    from repro.sim.faults import CircuitBreaker
-    from repro.tee.sevsnp import AmdSecureProcessor
-    from repro.tee.tdx import TdxModule
-
-    flavor = spec.workload
-    if flavor not in ("tdx-attestation", "snp-attestation"):
-        raise RunnerError(f"unknown attestation flavor {flavor!r}")
-    # The signing infrastructure (Intel PCS, AMD key hierarchy) is
-    # long-lived in reality: its keys do not change between trials.
-    # Deriving its stream from a params-level seed — not the per-trial
-    # stream — keeps the keys identical across trials (so the keygen
-    # cache in repro.attest.crypto hits), while rebuilding the objects
-    # per trial keeps each trial a pure function of its spec.
-    infra_seed = spec.params.get("infra_seed", 0)
-
-    def body(kernel):
-        ctx = kernel.ctx
-        infra_rng = SimRng(infra_seed, f"attest-infra/{flavor}")
-        nonce = ctx.rng.child("nonce").bytes(16)
-        trace = ctx.trace
-        # One breaker per trial, seeded from the trial's own stream so
-        # its cooldown jitter is a pure function of the spec.  Scoping
-        # it to the trial (not the shared infrastructure) preserves the
-        # purity contract: no state leaks between trials.
-        breaker_seed = derive_seed(ctx.rng.seed, f"{ctx.rng.label}/breaker")
-        if flavor == "tdx-attestation":
-            pcs = IntelPcs(
-                infra_rng,
-                breaker=CircuitBreaker("pcs", seed=breaker_seed, trace=trace),
-            )
-            qe = QuotingEnclave(pcs, infra_rng)
-            module = TdxModule()
-            with trace.span("attest", ctx):
-                evidence = generate_tdx_quote(module, qe, pcs, ctx, nonce)
-            with trace.span("check", ctx):
-                verdict = TdxVerifier(pcs).verify(
-                    evidence, ctx, expected_report_data=nonce)
-        else:
-            keys = AmdKeyInfrastructure(infra_rng)
-            amd_sp = AmdSecureProcessor()
-            with trace.span("attest", ctx):
-                evidence = generate_snp_report(amd_sp, keys, ctx, nonce)
-            with trace.span("check", ctx):
-                verdict = SnpVerifier(
-                    keys,
-                    breaker=CircuitBreaker(
-                        "vcek", seed=breaker_seed, trace=trace),
-                ).verify(evidence, ctx, expected_report_data=nonce)
-        if not verdict.accepted:
-            raise AttestationError(
-                f"{flavor}: verification unexpectedly rejected")
-        return {"accepted": verdict.accepted}
-
-    return body
-
-
-@body_factory("attestation-service")
-def _attestation_service_body(spec: TrialSpec) -> Callable:
-    """A fleet's worth of launches through the verifier service.
-
-    One trial models the Fig. 5 extension scenario end to end: two
-    verifier hosts share a cluster CDN tier in front of one PCS
-    origin, and three launch waves exercise every cache tier —
-
-    1. wave 1 on host A: the first tenant pays the origin fetches,
-       the rest hit the warmed host tier;
-    2. wave 2 on host B: a cold host tier but a warm CDN — every
-       launch resolves collateral one LAN hop away;
-    3. wave 3 on host A: the same tenants return and resume their
-       attestation sessions, skipping evidence generation and
-       verification entirely.
-
-    SNP has no networked collateral, so its scenario is two waves:
-    full local verification, then session resumption.  The body
-    returns per-tier latencies plus the service/tier counters and a
-    reconciliation flag (origin fetches vs clean ``request_log``
-    entries) so the experiment can fold them deterministically.
-    """
-    from repro.attest import (
-        AmdKeyInfrastructure,
-        IntelPcs,
-        QuotingEnclave,
-        SnpVerifier,
-        TdxVerifier,
-        VerificationJob,
-        VerifierService,
-        generate_snp_report,
-        generate_tdx_quote,
-    )
-    from repro.attest.service import TieredCollateral
-    from repro.attest.tiers import TierStore
-    from repro.errors import AttestationError
-    from repro.sim.faults import CircuitBreaker
-    from repro.tee.sevsnp import AmdSecureProcessor
-    from repro.tee.tdx import TdxModule
-
-    flavor = spec.workload
-    if flavor not in ("tdx-attestation", "snp-attestation"):
-        raise RunnerError(f"unknown attestation flavor {flavor!r}")
-    infra_seed = spec.params.get("infra_seed", 0)
-    tenants = spec.params.get("tenants", 3)
-    concurrency = spec.params.get("concurrency", 2)
-    wave_gap_ns = 1_000_000.0  # launches arrive 1 ms apart within a wave
-
-    def body(kernel):
-        ctx = kernel.ctx
-        trace = ctx.trace
-        infra_rng = SimRng(infra_seed, f"attest-service-infra/{flavor}")
-        breaker_seed = derive_seed(ctx.rng.seed, f"{ctx.rng.label}/breaker")
-        tiers: dict[str, list[float]] = {}
-        queue_waits: list[float] = []
-        counters: dict[str, int] = {}
-
-        def fold(verdicts):
-            # per-tier table uses verify_ns (the attestation cost the
-            # tier determines); queue waits are load, tracked apart
-            for verdict in verdicts:
-                if not verdict.accepted:
-                    raise AttestationError(
-                        f"{flavor}: service unexpectedly rejected "
-                        f"{verdict.measurement}")
-                tiers.setdefault(verdict.tier, []).append(verdict.verify_ns)
-                queue_waits.append(verdict.queue_wait_ns)
-
-        def add_counters(prefix, stats):
-            for name, value in stats.items():
-                counters[f"{prefix}.{name}"] = value
-
-        measurements = [f"tenant-{index}" for index in range(tenants)]
-
-        if flavor == "tdx-attestation":
-            pcs = IntelPcs(
-                infra_rng,
-                breaker=CircuitBreaker("pcs", seed=breaker_seed, trace=trace),
-            )
-            qe = QuotingEnclave(pcs, infra_rng)
-            module = TdxModule()
-            cdn = TierStore("cluster-cdn")
-
-            def make_service(host: str) -> VerifierService:
-                collateral = TieredCollateral(pcs, cdn=cdn)
-                return VerifierService(
-                    f"tdx-{host}",
-                    TdxVerifier(pcs, collateral=collateral),
-                    collateral=collateral,
-                    concurrency=concurrency,
-                )
-
-            def make_jobs(wave: int):
-                jobs = []
-                for index, measurement in enumerate(measurements):
-                    nonce = ctx.rng.child(
-                        f"nonce/w{wave}/{measurement}").bytes(16)
-
-                    def build(c, m=measurement, n=nonce):
-                        return generate_tdx_quote(module, qe, pcs, c, n,
-                                                  td_identity=m)
-
-                    jobs.append(VerificationJob(
-                        measurement=measurement, nonce=nonce,
-                        build_evidence=build,
-                        arrival_ns=index * wave_gap_ns))
-                return jobs
-
-            host_a = make_service("host-a")
-            host_b = make_service("host-b")
-            with trace.span("wave1-host-a", ctx):
-                fold(host_a.process_batch(make_jobs(1), ctx))
-            with trace.span("wave2-host-b", ctx):
-                fold(host_b.process_batch(make_jobs(2), ctx))
-            with trace.span("wave3-resume", ctx):
-                fold(host_a.process_batch(make_jobs(3), ctx))
-            add_counters("service.host-a", host_a.stats)
-            add_counters("service.host-b", host_b.stats)
-            add_counters("sessions.host-a", host_a.sessions.stats)
-            add_counters("sessions.host-b", host_b.sessions.stats)
-            add_counters("collateral.host-a", host_a.collateral.stats)
-            add_counters("collateral.host-b", host_b.collateral.stats)
-            origin_fetches = (host_a.collateral.stats["origin.fetches"]
-                              + host_b.collateral.stats["origin.fetches"])
-            clean_log_entries = pcs.request_log.clean
-            queue_depth_peak = max(host_a.queue_depth_peak,
-                                   host_b.queue_depth_peak)
-        else:
-            keys = AmdKeyInfrastructure(infra_rng)
-            amd_sp = AmdSecureProcessor()
-            service = VerifierService(
-                "snp-host-a",
-                SnpVerifier(
-                    keys,
-                    breaker=CircuitBreaker("vcek", seed=breaker_seed,
-                                           trace=trace),
-                ),
-                concurrency=concurrency,
-            )
-
-            def make_jobs(wave: int):
-                jobs = []
-                for index, measurement in enumerate(measurements):
-                    nonce = ctx.rng.child(
-                        f"nonce/w{wave}/{measurement}").bytes(16)
-
-                    def build(c, m=measurement, n=nonce):
-                        return generate_snp_report(amd_sp, keys, c, n,
-                                                   guest_identity=m)
-
-                    jobs.append(VerificationJob(
-                        measurement=measurement, nonce=nonce,
-                        build_evidence=build,
-                        arrival_ns=index * wave_gap_ns))
-                return jobs
-
-            with trace.span("wave1-verify", ctx):
-                fold(service.process_batch(make_jobs(1), ctx))
-            with trace.span("wave2-resume", ctx):
-                fold(service.process_batch(make_jobs(2), ctx))
-            add_counters("service.host-a", service.stats)
-            add_counters("sessions.host-a", service.sessions.stats)
-            origin_fetches = 0
-            clean_log_entries = 0
-            queue_depth_peak = service.queue_depth_peak
-
-        return {
-            "tiers": {tier: sorted(values)
-                      for tier, values in sorted(tiers.items())},
-            "queue_wait_ns": queue_waits,
-            "counters": dict(sorted(counters.items())),
-            "reconciled": origin_fetches == clean_log_entries,
-            "origin_fetches": origin_fetches,
-            "clean_log_entries": clean_log_entries,
-            "queue_depth_peak": queue_depth_peak,
-        }
-
-    return body
-
-
-@body_factory("supplychain")
-def _supplychain_body(spec: TrialSpec) -> Callable:
-    """One platform's image supply chain on the boot critical path.
-
-    The fig10 scenario: a deterministic OCI-style image is published
-    to a WAN registry, its layer keys escrowed with a Key Broker
-    Service fronting the platform's verifier service, and two waves
-    of VM launches run the full chain:
-
-    1. wave 1 (cold): each launch attests, gets its keys released,
-       and pulls the image under ``spec.workload`` (``eager`` pulls
-       every chunk at boot; ``lazy`` bootstraps one chunk per layer);
-    2. wave 2 (warm relaunch): the same VM identities return — their
-       attestation sessions resume (PR 8), so key release skips
-       evidence, verification, and the collateral origin round-trip.
-
-    Secure trials sign + encrypt the image and gate keys on a real
-    ``attest.service`` verdict; normal trials pull the same bytes
-    unsigned and in plaintext with no KBS involved — the
-    secure-vs-normal separation is exactly the supply chain's
-    attestation tax.  Lazy trials additionally replay a deterministic
-    warm-path access pattern against the lazily-materialized image,
-    charging chunk faults to the trial's own ledger.
-
-    The body returns per-wave boot latencies plus every service/KBS/
-    registry counter and reconciliation flags (KBS releases vs clean
-    KBS log entries, registry fetches vs clean registry log entries,
-    collateral origin fetches vs clean PCS log entries) so the
-    experiment can verify the counters against the request logs
-    exactly.
-    """
-    from repro.attest.crypto import derived_keypair
-    from repro.attest.service import LaunchAttestor
-    from repro.supply import (
-        KeyBrokerService,
-        LaunchProvisioner,
-        Registry,
-        build_image,
-        sign_image,
-    )
-
-    # body memoization keys on workload but NOT spec.secure, so the
-    # mode is part of the workload name: "<strategy>-<side>"
-    flavor, _, side = spec.workload.partition("-")
-    if flavor not in ("eager", "lazy") or side not in ("secure",
-                                                       "normal"):
-        raise RunnerError(
-            f"unknown supply-chain workload {spec.workload!r}; expected "
-            "<eager|lazy>-<secure|normal>")
-    platform = spec.platform
-    secure = side == "secure"
-    infra_seed = spec.params.get("infra_seed", 0)
-    vms = spec.params.get("vms", 3)
-    accesses = spec.params.get("accesses", 6)
-
-    def body(kernel):
-        ctx = kernel.ctx
-        infra_rng = SimRng(infra_seed,
-                           f"supply-infra/{platform}/{flavor}/{side}")
-        bundle = build_image("confapp", "v1", infra_rng.child("image"),
-                             encrypted=secure)
-        publisher = None
-        if secure:
-            publisher = derived_keypair(infra_rng.child("publisher"),
-                                        "publisher")
-            sign_image(bundle, publisher)
-        registry = Registry()
-        registry.push(bundle)
-        attestor = LaunchAttestor(platform, seed=infra_seed)
-        kbs = KeyBrokerService(attestor.service)
-        kbs.register_bundle(bundle)
-        provisioner = LaunchProvisioner(
-            attestor, registry, kbs, ("confapp", "v1"),
-            publisher_key=publisher.public if publisher else None,
-            strategy=flavor, key_ids=bundle.manifest.key_ids)
-
-        def launch(vm_id: str):
-            """One boot → (admission_ns, resumed, pull report, image).
-
-            Normal trials skip attestation + KBS: the pull happens on
-            a bare admission context, unsigned and in plaintext.
-            """
-            if secure:
-                report = provisioner.provision(vm_id)
-                return (report.admission_ns, report.resumed,
-                        report.pull, report.image)
-            from repro.guestos.filesystem import InMemoryFileSystem
-
-            boot_ctx = attestor.admission_context(vm_id)
-            fs = InMemoryFileSystem()
-            pulled = provisioner.puller().pull("confapp", "v1", fs,
-                                               boot_ctx)
-            report = getattr(pulled, "report", pulled)
-            image = pulled if flavor == "lazy" else None
-            return boot_ctx.ledger.total(), False, report, image
-
-        boots: dict[str, list[float]] = {"wave1": [], "wave2": []}
-        resumed = 0
-        chunk_faults = 0
-        chunks_fetched = 0
-        bytes_pulled = 0
-        with ctx.trace.span("wave1-cold", ctx):
-            for index in range(vms):
-                admission_ns, _, pull, image = launch(f"vm-{index}")
-                boots["wave1"].append(admission_ns)
-                chunks_fetched += pull.chunks_fetched
-                bytes_pulled += pull.bytes_pulled
-                if image is not None:
-                    fault_rng = ctx.rng.child(f"faults/w1/vm-{index}")
-                    manifest = image.manifest
-                    for _ in range(accesses):
-                        layer = fault_rng.randint(
-                            0, len(manifest.layers) - 1)
-                        chunk = fault_rng.randint(
-                            0, len(manifest.layers[layer].chunks) - 1)
-                        if image.access(layer, chunk, ctx):
-                            chunk_faults += 1
-                            chunks_fetched += 1
-        with ctx.trace.span("wave2-relaunch", ctx):
-            for index in range(vms):
-                admission_ns, was_resumed, pull, _ = launch(
-                    f"vm-{index}")
-                boots["wave2"].append(admission_ns)
-                chunks_fetched += pull.chunks_fetched
-                bytes_pulled += pull.bytes_pulled
-                if was_resumed:
-                    resumed += 1
-
-        counters: dict[str, int] = {}
-
-        def add_counters(prefix, stats):
-            for name, value in stats.items():
-                counters[f"{prefix}.{name}"] = value
-
-        add_counters("kbs", kbs.stats)
-        add_counters("registry", registry.stats)
-        add_counters("service", attestor.service.stats)
-        add_counters("sessions", attestor.service.sessions.stats)
-        if attestor.collateral is not None:
-            add_counters("collateral", attestor.collateral.stats)
-        add_counters("provisioner", provisioner.stats)
-
-        kbs_reconciled = kbs.stats["released"] == kbs.clean_log_entries()
-        registry_reconciled = (
-            registry.stats["manifest_fetches"]
-            + registry.stats["chunk_fetches"]
-            == registry.clean_log_entries())
-        if secure and attestor.pcs is not None:
-            origin_fetches = attestor.collateral.stats["origin.fetches"]
-            clean_pcs_entries = attestor.pcs.request_log.clean
-            pcs_reconciled = origin_fetches == clean_pcs_entries
-        else:
-            origin_fetches = 0
-            clean_pcs_entries = 0
-            pcs_reconciled = True
-
-        return {
-            "boot_ns": {wave: list(values)
-                        for wave, values in sorted(boots.items())},
-            "bytes_pulled": bytes_pulled,
-            "chunk_faults": chunk_faults,
-            "chunks_fetched": chunks_fetched,
-            "clean_pcs_entries": clean_pcs_entries,
-            "counters": dict(sorted(counters.items())),
-            "origin_fetches": origin_fetches,
-            "reconciled": (kbs_reconciled and registry_reconciled
-                           and pcs_reconciled),
-            "resumed": resumed,
-        }
-
-    return body
-
-
-@body_factory("cluster")
-def _cluster_body(spec: TrialSpec) -> Callable:
-    """A whole fleet's open-loop sweep (the Fig. 9 cluster extension).
-
-    One trial runs one :class:`repro.core.cluster.ClusterGateway`
-    sweep: a deterministic heterogeneous fleet, seeded open-loop
-    traffic using ``spec.workload`` as the arrival-process name
-    (``poisson``/``diurnal``/``burst``), cluster-scale faults from the
-    trial's own fault context, and the conservation contract that
-    every request finalizes as served, degraded, or shed-with-record.
-
-    The factory is memoized without trial/seed/faults, so everything
-    per-trial comes from ``kernel.ctx``: the sweep seed derives from
-    the trial's RNG stream and the fault schedule from ``ctx.faults``
-    (whose injection log flows into ``RunResult.faults_injected``).
-    The sweep's virtual makespan is charged to the trial clock, so a
-    trial's elapsed time *is* the cluster's wall time.
-    """
-    from repro.core.cluster import ClusterGateway, TrafficSpec, build_fleet
-
-    params = spec.params
-    profiles = build_fleet(params.get("hosts", 8),
-                           seed=params.get("fleet_seed", 0))
-    traffic = TrafficSpec(
-        process=spec.workload,
-        requests=params.get("requests", 100_000),
-        rate_rps=params.get("rate_rps", 3200.0),
-        secure_fraction=params.get("secure_fraction", 0.75),
-    )
-
-    def body(kernel):
-        ctx = kernel.ctx
-        sweep_seed = derive_seed(ctx.rng.seed, f"{ctx.rng.label}/cluster")
-        gateway = ClusterGateway(profiles, seed=sweep_seed,
-                                 faults=ctx.faults)
-        report = gateway.run(traffic)
-        ctx.charge(CostCategory.CPU, report.makespan_ns)
-        return report.to_dict()
-
-    return body
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,12 @@ def run_fig5_service(seed: int = 0, trials: int = 3,
                      ) -> Fig5ServiceResult:
     """Run the fleet-attestation scenario on TDX and SEV-SNP.
 
-    Trial bodies return plain per-tier data (the verifier service lives
-    below ``obs``, and worker processes cannot share a live registry);
-    this harness folds the counters into the runner's metrics registry
-    in spec order, so serial and parallel sweeps produce byte-identical
-    snapshots.
+    Trial bodies return plain per-tier data plus the service
+    components' ``stats`` dicts, folded into one counter dict (the
+    verifier service lives below ``obs``, and worker processes cannot
+    share a live registry); this harness folds those counters into the
+    runner's metrics registry in spec order, so serial and parallel
+    sweeps produce byte-identical snapshots.
     """
     runner = default_runner(runner, journal)
     specs = []

@@ -21,8 +21,10 @@ from repro.attest.tiers import (
 from repro.core.cluster import (
     DEFAULT_ZONES,
     BrownoutLevel,
+    ClusterGateway,
     ClusterNode,
     HealthMonitor,
+    HostProfile,
     NodeState,
     OverloadController,
     PlacementScheduler,
@@ -31,6 +33,7 @@ from repro.core.cluster import (
     TrafficSpec,
     build_fleet,
 )
+from repro.core.cluster.gateway import _Request
 from repro.errors import GatewayError
 
 
@@ -152,6 +155,49 @@ class TestPlacement:
         nodes[1].state = NodeState.DEAD
         assert PlacementScheduler(nodes).place(
             None, secure=False, memory_mib=1) is None
+
+    def test_excluded_zones_are_skipped(self):
+        nodes = self.nodes()
+        scheduler = PlacementScheduler(nodes)
+        # both TDX hosts of the six-host fleet are in zone-a
+        node = scheduler.place("tdx", secure=True, memory_mib=256,
+                               excluded=("zone-a",))
+        assert node.profile.zone != "zone-a"
+        assert scheduler.affinity_misses == 1
+        node = scheduler.place("tdx", secure=True, memory_mib=256,
+                               excluded=("zone-b",))
+        assert node.profile.platform == "tdx"
+        assert scheduler.affinity_misses == 1
+
+
+class TestZoneExclusion:
+    """A collateral blackout re-places a request outside its zone."""
+
+    def gateway(self):
+        def host(name, zone, platform, memory_mib):
+            return HostProfile(name=name, zone=zone, platform=platform,
+                               generation="m1", cores=8,
+                               memory_mib=memory_mib, speed=1.0)
+
+        # the only TDX host is in zone-a, and so is the best-fit
+        # relaxed host: excluding zone-a leaves only host-02
+        return ClusterGateway((
+            host("host-00", "zone-a", "tdx", 16384),
+            host("host-01", "zone-a", "sev-snp", 16384),
+            host("host-02", "zone-b", "sev-snp", 32768),
+        ))
+
+    def test_one_relaxed_placement_counts_one_affinity_miss(self):
+        gateway = self.gateway()
+        request = _Request(rid=0, arrival_ns=0.0, fn=0, secure=True,
+                           platform="tdx", memory_mib=256)
+        assert gateway._place(request, ()).profile.name == "host-00"
+        assert gateway.scheduler.affinity_misses == 0
+        node = gateway._place(request, ("zone-a",))
+        assert node.profile.name == "host-02"
+        assert gateway.scheduler.affinity_misses == 1
+        # exclusion is an argument, not a probed-health rewrite
+        assert all(n.state is NodeState.HEALTHY for n in gateway.nodes)
 
 
 class TestHealthMonitor:

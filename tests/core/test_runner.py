@@ -170,6 +170,31 @@ class TestExecutors:
         assert [(r.trial, r.secure) for r in results] == [
             (s.trial, s.secure) for s in plan]
 
+    def test_spawned_workers_register_every_builtin_kind(self):
+        # a spawned worker is a fresh interpreter: it inherits no
+        # registry, so each kind must register through the import of
+        # repro.core.runner alone (forked workers would hide that)
+        import multiprocessing
+
+        specs = [
+            faas_spec(),
+            TrialSpec.make(kind="attestation", platform="sev-snp",
+                           secure=True, workload="snp-attestation",
+                           trial=0, seed=3),
+            TrialSpec.make(kind="supplychain", platform="tdx",
+                           secure=False, workload="eager-normal",
+                           trial=0, seed=3,
+                           params={"vms": 1, "accesses": 1}),
+            TrialSpec.make(kind="cluster", platform="tdx", secure=True,
+                           workload="poisson", trial=0, seed=3,
+                           params={"hosts": 3, "requests": 200}),
+        ]
+        spawned = ParallelTrialExecutor(
+            jobs=2, mp_context=multiprocessing.get_context("spawn"),
+        ).map(execute_trial, specs)
+        assert dump(spawned) == dump(SerialTrialExecutor().map(
+            execute_trial, specs))
+
 
 class TestRunnerApi:
     def test_run_cells_groups_by_cell(self):

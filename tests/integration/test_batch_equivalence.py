@@ -11,7 +11,8 @@ to per-op charging:
 3. Goldens captured from the *pre-refactor* per-op implementation —
    full trial-runner artifacts (result dicts, metrics snapshots,
    Chrome traces) must reproduce byte-for-byte, serial and with two
-   worker processes.
+   worker processes.  The same check pins the attestation,
+   supply-chain and cluster scenario bodies.
 """
 
 from __future__ import annotations
@@ -177,6 +178,38 @@ GOLDEN_PLANS = {
     "perop_ml": dict(kind="ml", platforms=("sev-snp",),
                      workloads=("inference",), trials=1, seed=7,
                      params={"count": 8, "side": 96}),
+    # the attestation, supply-chain and cluster scenario bodies, pinned
+    # before they moved out of the runner into repro.core.scenarios
+    "attestation_tdx": dict(kind="attestation", platforms=("tdx",),
+                            workloads=("tdx-attestation",), trials=2,
+                            seed=7, secure_modes=(True,),
+                            params={"infra_seed": 7}),
+    "attestation_snp": dict(kind="attestation", platforms=("sev-snp",),
+                            workloads=("snp-attestation",), trials=2,
+                            seed=7, secure_modes=(True,),
+                            params={"infra_seed": 7}),
+    "attestation_service_tdx": dict(kind="attestation-service",
+                                    platforms=("tdx",),
+                                    workloads=("tdx-attestation",),
+                                    trials=1, seed=7, secure_modes=(True,),
+                                    params={"infra_seed": 7}),
+    "attestation_service_snp": dict(kind="attestation-service",
+                                    platforms=("sev-snp",),
+                                    workloads=("snp-attestation",),
+                                    trials=1, seed=7, secure_modes=(True,),
+                                    params={"infra_seed": 7}),
+    "supplychain_lazy_secure": dict(kind="supplychain", platforms=("tdx",),
+                                    workloads=("lazy-secure",), trials=1,
+                                    seed=7, secure_modes=(True,),
+                                    params={"vms": 2, "accesses": 3}),
+    "supplychain_eager_normal": dict(kind="supplychain", platforms=("tdx",),
+                                     workloads=("eager-normal",), trials=1,
+                                     seed=7, secure_modes=(False,),
+                                     params={"vms": 2, "accesses": 3}),
+    "cluster_small": dict(kind="cluster", platforms=("tdx",),
+                          workloads=("poisson",), trials=1, seed=7,
+                          secure_modes=(True,),
+                          params={"hosts": 4, "requests": 2000}),
 }
 
 
@@ -191,6 +224,6 @@ class TestPreRefactorGoldens:
         produced = canonical_artifacts(runner, runner.run(plan))
         assert produced == golden, (
             f"{golden_path.name} no longer reproduces byte-for-byte "
-            f"(jobs={jobs}); the batched kernel diverged from the "
-            "per-op semantics"
+            f"(jobs={jobs}); the trial pipeline's output for this plan "
+            "changed"
         )
