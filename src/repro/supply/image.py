@@ -48,37 +48,30 @@ def sha256_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _expand(seed: bytes, size: int) -> bytes:
-    """Deterministically expand ``seed`` to ``size`` pseudo-bytes.
+def _expand(seed: bytes, size: int, first_block: int = 0) -> bytes:
+    """``size`` bytes of ``sha256(seed || block_index)`` blocks.
 
-    Layer content must be deterministic (byte-identical serial vs
-    parallel) and cheap; hashing a 32-byte seed per 32-byte block is
-    far faster than drawing every byte through the RNG.
+    The one block generator behind both layer content and the sealing
+    keystream: deterministic (byte-identical serial vs parallel), and
+    one C-level hash per 32 bytes instead of an RNG draw per byte.
     """
-    blocks = []
-    for index in range((size + _KS_BLOCK - 1) // _KS_BLOCK):
-        blocks.append(hashlib.sha256(
-            seed + index.to_bytes(8, "big")).digest())
-    return b"".join(blocks)[:size]
+    last_block = first_block + (size + _KS_BLOCK - 1) // _KS_BLOCK
+    return b"".join([hashlib.sha256(seed + index.to_bytes(8, "big")).digest()
+                     for index in range(first_block, last_block)])[:size]
 
 
 def keystream_xor(data: bytes, key: bytes, offset: int = 0) -> bytes:
     """Seal/unseal ``data`` at byte ``offset`` within its layer.
 
     XOR with ``sha256(key || block_index)`` blocks.  ``offset`` must be
-    block-aligned so chunks decrypt independently of their neighbours.
+    a non-negative block multiple, so chunks decrypt independently.
     """
-    if offset % _KS_BLOCK:
-        raise SupplyChainError(
-            f"keystream offset must be {_KS_BLOCK}-byte aligned, "
-            f"got {offset}")
-    first_block = offset // _KS_BLOCK
-    blocks = []
-    for index in range((len(data) + _KS_BLOCK - 1) // _KS_BLOCK):
-        blocks.append(hashlib.sha256(
-            key + (first_block + index).to_bytes(8, "big")).digest())
-    stream = b"".join(blocks)[:len(data)]
-    return bytes(a ^ b for a, b in zip(data, stream))
+    if offset < 0 or offset % _KS_BLOCK:
+        raise SupplyChainError(f"keystream offset must be a non-negative "
+                               f"multiple of {_KS_BLOCK}, got {offset}")
+    stream = _expand(key, len(data), offset // _KS_BLOCK)
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(len(data), "little")
 
 
 @dataclass(frozen=True)

@@ -274,9 +274,16 @@ class LazyImage:
 
     def access(self, layer_index: int, chunk_index: int, ctx) -> bool:
         """Touch one chunk; True if it faulted (fetched on demand)."""
+        layers = self.manifest.layers
+        # positions, not subscripts: a negative index must not wrap
+        if not (0 <= layer_index < len(layers) and 0 <= chunk_index
+                < len(layers[layer_index].chunks)):
+            raise SupplyChainError(
+                f"{self.manifest.name}:{self.manifest.tag} has no chunk "
+                f"{chunk_index} in layer {layer_index}")
         if (layer_index, chunk_index) in self._present:
             return False
-        layer = self.manifest.layers[layer_index]
+        layer = layers[layer_index]
         chunk = layer.chunks[chunk_index]
         strategy = self._strategy
         key = strategy._layer_key(layer, self._keys)

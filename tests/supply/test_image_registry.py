@@ -132,6 +132,22 @@ class TestPullStrategies:
         assert image.report.chunk_faults == 1
         assert registry.clean_log_entries() == 1 + layers + 1
 
+    def test_lazy_access_rejects_indices_outside_the_image(self):
+        bundle, publisher, registry = make_signed()
+        ctx = make_ctx()
+        image = LazyPull(registry, publisher.public).pull(
+            "app", "v1", InMemoryFileSystem(), ctx, keys=bundle.keys)
+        assert len(bundle.manifest.layers) == 2
+        assert image.access(1, 1, ctx) is True
+        # -1 would wrap onto (1, 1) and fault the same chunk again
+        for layer, chunk in ((-1, -1), (1, -1), (-1, 0), (2, 0), (0, 3)):
+            with pytest.raises(SupplyChainError, match="has no chunk"):
+                image.access(layer, chunk, ctx)
+        assert image.access(1, 1, ctx) is False
+        # chunk_faults counts distinct chunks: one fault, one fetch
+        assert image.report.chunk_faults == 1
+        assert registry.clean_log_entries() == 1 + 2 + 1
+
     def test_lazy_faults_are_deterministic(self):
         totals = []
         for _round in range(2):

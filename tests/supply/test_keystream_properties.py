@@ -1,0 +1,135 @@
+"""Property tests for the sealing keystream and lazy chunk faults.
+
+The keystream is checked against a per-byte reference that XORs one
+byte at a time, so any change to the whole-buffer XOR or the block
+generator that moves a single sealed byte fails here.  One encrypted
+bundle is also pinned by digest, so a keystream change shows up even
+where no golden plan builds an image.
+"""
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.attest.crypto import derived_keypair
+from repro.errors import SupplyChainError
+from repro.guestos.context import ExecContext
+from repro.guestos.filesystem import InMemoryFileSystem
+from repro.hw.machine import xeon_gold_5515
+from repro.sim.rng import SimRng
+from repro.supply import (
+    CHUNK_BYTES,
+    LazyPull,
+    Registry,
+    build_image,
+    keystream_xor,
+    sign_image,
+)
+
+BLOCK = 32
+
+
+def reference_xor(data: bytes, key: bytes, offset: int = 0) -> bytes:
+    """The per-byte keystream XOR: one generator step per byte."""
+    first_block = offset // BLOCK
+    blocks = []
+    for index in range((len(data) + BLOCK - 1) // BLOCK):
+        blocks.append(hashlib.sha256(
+            key + (first_block + index).to_bytes(8, "big")).digest())
+    stream = b"".join(blocks)[:len(data)]
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+def _sized(size: int, seed: int) -> bytes:
+    return random.Random(seed).randbytes(size)
+
+
+#: short arbitrary payloads (zero bytes, odd lengths) plus seeded ones
+#: up to a little over two chunks
+payloads = st.one_of(
+    st.binary(max_size=200),
+    st.builds(_sized, st.integers(0, 2 * CHUNK_BYTES + 100),
+              st.integers(0, 2**32)))
+keys = st.binary(min_size=32, max_size=32)
+aligned_offsets = st.integers(0, 2**32).map(lambda block: block * BLOCK)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=payloads, key=keys, offset=aligned_offsets)
+@example(data=_sized(2 * CHUNK_BYTES + 45, 1), key=b"k" * 32, offset=0)
+@example(data=_sized(CHUNK_BYTES + 1, 2), key=b"k" * 32,
+         offset=3 * CHUNK_BYTES)
+def test_matches_per_byte_reference(data, key, offset):
+    assert keystream_xor(data, key, offset) == reference_xor(data, key,
+                                                             offset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=payloads, key=keys, offset=aligned_offsets)
+def test_xor_is_an_involution(data, key, offset):
+    assert keystream_xor(keystream_xor(data, key, offset), key,
+                         offset) == data
+
+
+@settings(max_examples=40, deadline=None)
+@given(layer=payloads, key=keys, cut=st.floats(0.0, 1.0))
+def test_any_aligned_split_unseals_independently(layer, key, cut):
+    split = int(len(layer) * cut) // BLOCK * BLOCK
+    sealed = keystream_xor(layer, key)
+    assert keystream_xor(layer[split:], key, split) == sealed[split:]
+    assert (keystream_xor(sealed[:split], key)
+            + keystream_xor(sealed[split:], key, split)) == layer
+
+
+@settings(max_examples=20, deadline=None)
+@given(offset=st.integers(max_value=-1))
+@example(offset=-BLOCK)
+def test_negative_offsets_are_rejected(offset):
+    with pytest.raises(SupplyChainError):
+        keystream_xor(b"x" * 64, b"k" * 32, offset)
+
+
+def test_sealed_bundle_bytes_are_pinned():
+    """Every sealed byte of one bundle, odd-sized layers included."""
+    bundle = build_image("pin", "v1", SimRng(2024, "supply-pin"),
+                         layer_sizes=(2 * CHUNK_BYTES + 1007, 33,
+                                      CHUNK_BYTES))
+    stored = hashlib.sha256()
+    for layer in bundle.manifest.layers:
+        assert layer.encrypted
+        for chunk in layer.chunks:
+            stored.update(bundle.blobs[chunk.digest])
+    assert stored.hexdigest() == (
+        "72853303299cb9e3d755b9950f628b58f31247b031b797e066be637170e09603")
+    assert bundle.manifest.digest == (
+        "sha256:f0e51132571be5e230b10b1d26f967db06cf9ad1a4449f4dbc06cf6fa891da38")
+
+
+_RNG = SimRng(7, "supply-property")
+_BUNDLE = build_image("app", "v1", _RNG.child("image"))
+_PUBLISHER = derived_keypair(_RNG.child("publisher"), "publisher")
+sign_image(_BUNDLE, _PUBLISHER)
+
+chunk_positions = st.sampled_from([
+    (layer.index, chunk)
+    for layer in _BUNDLE.manifest.layers
+    for chunk in range(len(layer.chunks))])
+
+
+@settings(max_examples=30, deadline=None)
+@given(touches=st.lists(chunk_positions, max_size=12))
+def test_chunk_faults_count_distinct_cold_chunks(touches):
+    registry = Registry()
+    registry.push(_BUNDLE)
+    ctx = ExecContext(machine=xeon_gold_5515(), rng=SimRng(1, "faults"))
+    image = LazyPull(registry, _PUBLISHER.public).pull(
+        "app", "v1", InMemoryFileSystem(), ctx, keys=_BUNDLE.keys)
+    faulted = [image.access(layer, chunk, ctx) for layer, chunk in touches]
+    cold = {(layer, chunk) for layer, chunk in touches if chunk != 0}
+    assert image.report.chunk_faults == sum(faulted) == len(cold)
+    layers = len(_BUNDLE.manifest.layers)
+    assert image.report.chunks_fetched == layers + len(cold)
+    assert registry.clean_log_entries() == 1 + layers + len(cold)
