@@ -35,6 +35,10 @@ per layer lazy, every chunk eager — machine-independent), and by the
 in-run lazy/eager throughput ratio, where machine speed cancels and
 the failure mode drags the ratio toward 1.0.
 
+Last, it gates CRT signing: on a 1024-bit key ``RsaKeyPair.sign``
+must beat the textbook full-modulus ``m^d mod n`` by an in-run ratio,
+with no committed trajectory file.
+
 Regenerate after intentional perf changes with::
 
     CONFBENCH_WRITE_BENCH=1 python -m pytest benchmarks/test_perf_trajectory.py
@@ -48,7 +52,7 @@ import time
 from pathlib import Path
 
 from repro.attest import LaunchAttestor
-from repro.attest.crypto import derived_keypair
+from repro.attest.crypto import _pad_digest, derived_keypair
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.obs.profile import Profile
 from repro.sim.rng import SimRng
@@ -299,3 +303,54 @@ def test_supply_pull_trajectory(capsys):
         "paying eager-grade chunk work on the boot path; profile "
         "before re-baselining with CONFBENCH_WRITE_BENCH=1"
     )
+
+
+# --- CRT signing gate -----------------------------------------------
+
+#: Messages signed per rep, and best-of-N reps per signer.
+SIGN_MESSAGES = tuple(f"quote-{i}".encode() for i in range(100))
+SIGN_REPS = 5
+#: CRT signing must be at least this much faster than ``m^d mod n``.
+#: Two half-size exponentiations cost about a third of one full one;
+#: losing the CRT path drags the ratio to 1.0.
+SIGN_MIN_SPEEDUP = 2.0
+
+
+def _best_signing_time(sign) -> float:
+    best = float("inf")
+    for _ in range(SIGN_REPS):
+        start = time.perf_counter()
+        for message in SIGN_MESSAGES:
+            sign(message)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_crt_signing_speedup(capsys):
+    pair = derived_keypair(SimRng(3, "bench-sign"), "signer", 1024)
+    k = pair.public.byte_length
+
+    def textbook_sign(message: bytes) -> bytes:
+        padded = int.from_bytes(_pad_digest(message, k), "big")
+        return pow(padded, pair.d, pair.public.n).to_bytes(k, "big")
+
+    for message in SIGN_MESSAGES[:4]:
+        assert pair.sign(message) == textbook_sign(message)
+    crt = _best_signing_time(pair.sign)
+    textbook = _best_signing_time(textbook_sign)
+    speedup = textbook / crt
+
+    with capsys.disabled():
+        print()
+        print(f"1024-bit signing ({len(SIGN_MESSAGES)} messages, "
+              f"best of {SIGN_REPS}):")
+        print(f"  CRT       {crt / len(SIGN_MESSAGES) * 1e3:6.2f} ms/sign")
+        print(f"  textbook  {textbook / len(SIGN_MESSAGES) * 1e3:6.2f} "
+              "ms/sign")
+        print(f"  in-run speedup (textbook/CRT): {speedup:.2f}x "
+              f"(floor {SIGN_MIN_SPEEDUP:.1f}x)")
+
+    assert speedup >= SIGN_MIN_SPEEDUP, (
+        f"CRT signing is only {speedup:.2f}x faster than m^d mod n "
+        f"(floor {SIGN_MIN_SPEEDUP:.1f}x): RsaKeyPair.sign lost its "
+        "CRT path")

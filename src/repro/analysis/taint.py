@@ -215,14 +215,20 @@ class TaintSpec:
     trusted_modules: frozenset = frozenset()
 
 
+#: The private half of an ``RsaKeyPair``: the exponent and its CRT
+#: form.  Either prime factors the modulus, and dp or dq yields one.
+_KEYPAIR_SECRET_FIELDS = tuple(
+    (name, "key-material") for name in ("d", "p", "q", "dp", "dq", "qinv"))
+
+
 DEFAULT_TAINT_SPEC = TaintSpec(
     sources=(
         SourceSpec(match="qual:repro.attest.crypto.generate_keypair",
                    kind="key-material", container=False,
-                   fields=(("d", "key-material"), ("public", None))),
+                   fields=(*_KEYPAIR_SECRET_FIELDS, ("public", None))),
         SourceSpec(match="qual:repro.attest.crypto.derived_keypair",
                    kind="key-material", container=False,
-                   fields=(("d", "key-material"), ("public", None))),
+                   fields=(*_KEYPAIR_SECRET_FIELDS, ("public", None))),
         SourceSpec(match="attr:read_file", kind="guest-data"),
         SourceSpec(match="attr:read_all", kind="guest-data"),
         SourceSpec(match="attr:measurement_for", kind="measurement"),
@@ -271,7 +277,8 @@ DEFAULT_TAINT_SPEC = TaintSpec(
         "qual:hash",
     ),
     class_fields=(
-        ("RsaKeyPair", "d", "key-material"),
+        *(("RsaKeyPair", name, kind)
+          for name, kind in _KEYPAIR_SECRET_FIELDS),
         ("QuotingEnclave", "_pck_key", "key-material"),
         ("QuotingEnclave", "_attestation_key", "key-material"),
         ("AmdKeyInfrastructure", "_vcek_key", "key-material"),

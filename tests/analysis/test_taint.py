@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.analysis import run_lint
 from repro.analysis.core import load_project
 from repro.analysis.taint import ConfidentialTaintRule
@@ -198,6 +200,41 @@ def test_public_key_journal_is_not_a_false_positive(make_tree):
             store.put({"public": pair.public})
     """})
     assert findings == []
+
+
+@pytest.mark.parametrize("field", ["p", "q", "dp", "dq", "qinv"])
+def test_crt_field_leak_detected_and_public_half_clean(make_tree, field):
+    # each CRT part factors the modulus, so it is as secret as d
+    findings = _taint_findings(make_tree, {"crt.py": f"""
+        import warnings
+
+        from repro.attest.crypto import derived_keypair
+
+
+        def leaks_crt_part(rng):
+            pair = derived_keypair(rng, "leak")
+            warnings.warn(f"{field}={{pair.{field}}}")
+
+
+        def logs_public_half(rng):
+            pair = derived_keypair(rng, "ok")
+            warnings.warn(f"public={{pair.public}}")
+    """})
+    assert [(f.rule, f.symbol) for f in findings] == [
+        ("taint/log", "leaks_crt_part")]
+
+
+@pytest.mark.parametrize("field", ["p", "q", "dp", "dq", "qinv"])
+def test_crt_field_repr_leak_detected(make_tree, field):
+    findings = _taint_findings(make_tree, {"pair.py": f"""
+        class RsaKeyPair:
+            def __init__(self, secret):
+                self.{field} = secret
+
+            def __repr__(self):
+                return f"RsaKeyPair({field}={{self.{field}}})"
+    """})
+    assert [f.rule for f in findings] == ["taint/repr"]
 
 
 def test_pragma_suppresses_taint_family(make_tree):

@@ -1,12 +1,18 @@
 """Tests for the pure-Python RSA implementation."""
 
+import dataclasses
+import functools
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attest.crypto import (
+    RsaKeyPair,
     RsaPublicKey,
     _is_probable_prime,
     _generate_prime,
+    _pad_digest,
     generate_keypair,
 )
 from repro.errors import AttestationError
@@ -120,3 +126,68 @@ class TestSignatures:
     def test_public_key_equality(self):
         key = RsaPublicKey(n=91, e=5)
         assert key == RsaPublicKey(n=91, e=5)
+
+
+@functools.lru_cache(maxsize=None)
+def _sized_keypair(bits: int) -> RsaKeyPair:
+    return generate_keypair(SimRng(5, f"crt/{bits}"), bits=bits)
+
+
+def _textbook_sign(pair: RsaKeyPair, message: bytes) -> bytes:
+    """The oracle: the full-modulus ``m^d mod n`` CRT signing must equal."""
+    k = pair.public.byte_length
+    padded = int.from_bytes(_pad_digest(message, k), "big")
+    return pow(padded, pair.d, pair.public.n).to_bytes(k, "big")
+
+
+#: Parent-computed identity of ``generate_keypair(SimRng(0, "pin"),
+#: 1024)``: its fingerprint, and the sha256 over its signatures of
+#: ``PIN_MESSAGES``.  Any change to keygen draws or to signature bytes
+#: moves one of them.
+PIN_FINGERPRINT = "4d81db7442e2f8ef9a87eff3"
+PIN_SIGNATURES_SHA256 = (
+    "60ef25575fb0bba34f9e9ebe426b8d3b3b9079993ba6b8f4be425b42ceac8caa")
+PIN_MESSAGES = tuple(f"pin-message-{i}".encode() for i in range(32))
+
+
+class TestCrtSigning:
+    # 769 and 1025 bits give p and q of different sizes
+    @pytest.mark.parametrize("bits", [768, 769, 1024, 1025])
+    @settings(max_examples=20, deadline=None)
+    @given(message=st.binary(max_size=300))
+    def test_sign_equals_textbook_exponentiation(self, bits, message):
+        pair = _sized_keypair(bits)
+        assert pair.public.bits == bits
+        assert pair.sign(message) == _textbook_sign(pair, message)
+
+    @pytest.mark.parametrize("bits", [769, 1025])
+    def test_odd_sizes_have_unbalanced_primes(self, bits):
+        pair = _sized_keypair(bits)
+        assert pair.p.bit_length() != pair.q.bit_length()
+
+    def test_keygen_and_signature_bytes_pinned(self):
+        pair = generate_keypair(SimRng(0, "pin"), 1024)
+        assert pair.public.fingerprint() == PIN_FINGERPRINT
+        digest = hashlib.sha256()
+        for message in PIN_MESSAGES:
+            digest.update(pair.sign(message))
+        assert digest.hexdigest() == PIN_SIGNATURES_SHA256
+
+    @pytest.mark.parametrize("tamper", [
+        lambda pair: {"p": pair.p + 2},
+        lambda pair: {"q": pair.q + 2},
+        lambda pair: {"d": pair.d + 2},
+        lambda pair: {"dp": pair.dp + 1},
+        lambda pair: {"dq": pair.dq + 1},
+        lambda pair: {"qinv": pair.qinv + 1},
+        lambda pair: {"p": pair.q, "q": pair.p},
+    ], ids=["p", "q", "d", "dp", "dq", "qinv", "swapped-primes"])
+    def test_inconsistent_crt_parts_rejected(self, keypair, tamper):
+        with pytest.raises(AttestationError, match="CRT"):
+            dataclasses.replace(keypair, **tamper(keypair))
+
+    def test_repr_hides_crt_parts(self, keypair):
+        text = repr(keypair)
+        for secret in (keypair.d, keypair.p, keypair.q, keypair.dp,
+                       keypair.dq, keypair.qinv):
+            assert str(secret) not in text
