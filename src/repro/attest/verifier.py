@@ -31,7 +31,7 @@ from repro.attest.snp_report import (
     AmdKeyInfrastructure,
     SnpAttestationReport,
 )
-from repro.attest.tdx_quote import QuotingEnclave, TdxQuote
+from repro.attest.tdx_quote import TdxQuote
 from repro.errors import (
     CollateralTimeoutError,
     QuoteVerificationError,
@@ -240,11 +240,6 @@ class TdxVerifier:
         result.accepted = True
         result.elapsed_ns = ctx.ledger.total() - start
         return result
-
-    @staticmethod
-    def expected_qe(qe: QuotingEnclave) -> tuple[str, int]:
-        """The identity a quote from ``qe`` should carry (test helper)."""
-        return qe.MRSIGNER, qe.ISV_SVN
 
 
 class SnpVerifier:

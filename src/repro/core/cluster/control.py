@@ -21,7 +21,7 @@ from typing import Any
 from repro.core.cluster.gateway import ClusterGateway
 from repro.core.cluster.profiles import build_fleet
 from repro.core.cluster.traffic import TrafficSpec
-from repro.errors import GatewayError, OverloadedError, SupplyChainError
+from repro.errors import GatewayError, OverloadedError
 from repro.sim.rng import SimRng
 
 #: the documented ``POST /v1/cluster/run`` body fields (strict mode)
@@ -192,11 +192,3 @@ class ClusterControl:
             "tier": release.verdict.tier,
             "release_ns": release.release_ns,
         }
-
-    def kbs_stats(self, platform: str = "tdx") -> dict[str, int]:
-        """The broker's decision counters for ``platform``."""
-        plane = self._kbs.get(platform)
-        if plane is None:
-            raise SupplyChainError(
-                f"no KBS activity yet for platform {platform!r}")
-        return dict(plane[0].stats)

@@ -397,8 +397,8 @@ class ClusterGateway:
             node = self._place(req, excluded)
             if node is None:
                 return False
-            cold = node.acquire(self._mix.names[req.fn], req.memory_mib,
-                                req.secure)
+            cold = self.scheduler.acquire(node, self._mix.names[req.fn],
+                                          req.memory_mib, req.secure)
             boot_ns = 0.0
             if cold:
                 if req.secure:
@@ -410,9 +410,9 @@ class ClusterGateway:
                     if hit is None:
                         # collateral blackout: this zone cannot boot a
                         # CVM right now — undo and try another zone
-                        node.release(self._mix.names[req.fn],
-                                     req.memory_mib, req.secure,
-                                     stash=False)
+                        self.scheduler.release(
+                            node, self._mix.names[req.fn],
+                            req.memory_mib, req.secure, stash=False)
                         excluded = excluded + (node.profile.zone,)
                         continue
                     boot_ns = (SECURE_COLD_BOOT_NS + ATTEST_VERIFY_NS
@@ -467,7 +467,8 @@ class ClusterGateway:
         node = attempt.node
         self._live[node.profile.name].pop(id(attempt), None)
         req = attempt.req
-        node.release(self._mix.names[req.fn], req.memory_mib, req.secure)
+        self.scheduler.release(node, self._mix.names[req.fn],
+                               req.memory_mib, req.secure)
         node.busy_ns += now_ns - attempt.start_ns
         window = self.monitor.partitions.get(node.profile.zone)
         if window is not None and window[0] <= now_ns < window[1]:

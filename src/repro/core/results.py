@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import GatewayError
-from repro.hw.perfcounters import PerfCounters
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,3 @@ def five_number_summary(samples: list[float] | tuple[float, ...]) -> dict[str, f
         "q3": percentile(samples, 75),
         "whisker_high": percentile(samples, 100),
     }
-
-
-def aggregate_counters(records: list[InvocationRecord]) -> PerfCounters:
-    """Sum perf counters across records (per-experiment totals)."""
-    total = PerfCounters()
-    for record in records:
-        total.add(PerfCounters(**record.perf))
-    return total

@@ -271,18 +271,6 @@ class RuntimeSession:
             batch.add_seq(ops)
         return self.ctx.run_batch(batch)
 
-    def log_batch(self, message: str, count: int) -> float:
-        """Write ``count`` identical lines to stdout as one batch."""
-        self._require_booted()
-        if count < 0:
-            raise RuntimeModelError(f"negative call count: {count}")
-        batch = self.ctx.batch()
-        for _ in range(count):
-            ops: list = []
-            self._log_ops(message, ops)
-            batch.add_seq(ops)
-        return self.ctx.run_batch(batch)
-
     def batch(self) -> "SessionBatch":
         """A staged recorder over compute/allocate/release/log."""
         self._require_booted()

@@ -41,15 +41,6 @@ class World(enum.Enum):
     ROOT = "root"
 
 
-class ExceptionLevel(enum.IntEnum):
-    """ARM exception (privilege) levels."""
-
-    EL0 = 0   # applications
-    EL1 = 1   # guest OS / realm kernel
-    EL2 = 2   # hypervisor / RMM
-    EL3 = 3   # monitor (root world)
-
-
 class RealmState(enum.Enum):
     """Lifecycle of a realm per the RMM specification (simplified)."""
 

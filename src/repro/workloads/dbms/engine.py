@@ -115,10 +115,6 @@ class Database:
             self._undo.clear()
         return result
 
-    def executemany(self, statements: list[str]) -> list[ExecResult]:
-        """Run several statements in order."""
-        return [self.execute(sql) for sql in statements]
-
     def _dispatch(self, statement: ast.Statement,
                   executor: Executor) -> ExecResult:
         if isinstance(statement, ast.Select):

@@ -51,10 +51,6 @@ class ImageDataset:
     def __getitem__(self, index: int) -> LabeledImage:
         return self.images[index]
 
-    def total_bytes(self) -> int:
-        """Sum of raw image sizes (≈ 40 MB for the default dataset)."""
-        return sum(item.nbytes for item in self.images)
-
 
 def _class_pattern(rng: np.random.Generator, side: int, cls: int) -> np.ndarray:
     """A structured pattern distinctive to ``cls``."""

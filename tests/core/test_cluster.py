@@ -145,7 +145,8 @@ class TestPlacement:
         scheduler = PlacementScheduler(nodes)
         for node in nodes:
             if node.profile.zone == "zone-a":
-                node.secure_active = 5
+                for _ in range(5):
+                    scheduler.acquire(node, "f", 1, secure=True)
         node = scheduler.place(None, secure=True, memory_mib=256)
         assert node.profile.zone != "zone-a"
 

@@ -10,6 +10,8 @@ between serial and two-worker execution.
 The million requests are split across four trial specs (one per
 arrival-process/seed pairing) so the parallel leg actually
 distributes work; conservation is asserted per spec and in aggregate.
+The same contract then holds for a 128-host fleet under the same
+fault weather, where placement scans only the nodes with free cores.
 """
 
 from __future__ import annotations
@@ -30,17 +32,18 @@ SPECS = (
 )
 
 
-def build_plan() -> TrialPlan:
-    specs = tuple(
+def build_plan(specs=SPECS, hosts: int = 8,
+               requests: int = REQUESTS_PER_SPEC,
+               rate_rps: float = 2_000.0) -> TrialPlan:
+    return TrialPlan(specs=tuple(
         TrialSpec.make(
             kind="cluster", platform="tdx", secure=True, workload=process,
             trial=trial, seed=0,
-            params={"hosts": 8, "requests": REQUESTS_PER_SPEC,
-                    "rate_rps": 2_000.0},
+            params={"hosts": hosts, "requests": requests,
+                    "rate_rps": rate_rps},
         )
-        for process, trial in SPECS
-    )
-    return TrialPlan(specs=specs).with_faults(FAULTS)
+        for process, trial in specs
+    )).with_faults(FAULTS)
 
 
 class TestMillionRequestAcceptance:
@@ -76,6 +79,32 @@ class TestMillionRequestAcceptance:
         assert total["served"] > 0.5 * total["requests"]
         # and the faults were not a no-op across the whole run
         assert any(r.output["faults_injected"] for r in serial)
+
+        parallel = TrialRunner(jobs=2).run(plan)
+        assert (json.dumps([r.to_dict() for r in serial], sort_keys=True)
+                == json.dumps([r.to_dict() for r in parallel],
+                              sort_keys=True))
+
+
+class TestLargeFleetAcceptance:
+    """250k requests over 128 hosts: two specs, so ``-j 2`` splits them."""
+
+    def test_conserved_and_serial_parallel_identity(self):
+        plan = build_plan(specs=(("poisson", 0), ("diurnal", 0)),
+                          hosts=128, requests=125_000, rate_rps=16_000.0)
+
+        serial = TrialRunner().run(plan)
+        served = 0
+        for result in serial:
+            output = result.output
+            assert output["conserved"] is True
+            assert output["requests"] == 125_000
+            assert output["requests"] == (output["served"]
+                                          + output["degraded"]
+                                          + output["shed"])
+            served += output["served"]
+        assert served > 0.5 * 250_000
+        assert all(r.output["faults_injected"] for r in serial)
 
         parallel = TrialRunner(jobs=2).run(plan)
         assert (json.dumps([r.to_dict() for r in serial], sort_keys=True)
