@@ -175,6 +175,19 @@ GOLDEN_PLANS = {
                        workloads=("logging", "iostress", "htmlrender",
                                   "memstress"),
                        runtimes=("python",), trials=2, seed=7),
+    # the other 21 figure functions, pinned before their pure kernels
+    # were split from the bodies; node's JIT warmup and GC make the
+    # charges sensitive to call order
+    "faas_kernels": dict(kind="faas", platforms=("tdx",),
+                         workloads=("cpustress", "factors", "ack",
+                                    "fibonacci", "primes", "mandelbrot",
+                                    "nbody", "spectralnorm", "fannkuch",
+                                    "matrix", "binarytrees", "sort",
+                                    "stringconcat", "wordcount",
+                                    "jsonserde", "filesystem", "base64",
+                                    "checksum", "compression", "shahash",
+                                    "graphbfs"),
+                         runtimes=("node",), trials=1, seed=7),
     "perop_ml": dict(kind="ml", platforms=("sev-snp",),
                      workloads=("inference",), trials=1, seed=7,
                      params={"count": 8, "side": 96}),
