@@ -59,7 +59,7 @@ RULE_REGISTRY: dict[str, type[Rule]] = {
 PASS_SCHEMA: dict[str, int] = {
     "determinism": 1,
     "layering": 1,
-    "purity": 1,
+    "purity": 2,
     "hotpath": 1,
     "taint": 1,
     "lock": 1,

@@ -11,8 +11,11 @@ ran before it, which exactly breaks the guarantee.
 The pass walks the project call graph built by
 :mod:`repro.analysis.dataflow`:
 
-- entry points are ``execute_trial``/``build_body`` plus every
-  function decorated with ``@body_factory(...)``;
+- entry points are ``execute_trial``/``build_body``, every function
+  decorated with ``@body_factory(...)``, and every function passed as
+  ``fn=`` to ``FaasWorkload(...)`` — a FaaS body runs inside each faas
+  trial but is reached only through the descriptor's ``fn`` field,
+  which no call resolves;
 - calls are resolved syntactically through import aliases (including
   package ``__init__`` re-exports) and same-module names;
 - instantiating a project class marks all its methods reachable
@@ -45,7 +48,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, Project, Rule, Severity
+from repro.analysis.core import Finding, ImportTable, Project, Rule, Severity
 from repro.analysis.dataflow import (
     FunctionUnit,
     SymbolIndex,
@@ -65,6 +68,11 @@ DEFAULT_ENTRY_POINTS = (
 ENTRY_DECORATORS = frozenset({
     "body_factory",
     "repro.core.runner.body_factory",
+})
+
+#: ``(constructor, keyword)`` pairs whose callable argument is a root.
+ENTRY_KEYWORDS = frozenset({
+    ("repro.workloads.base.FaasWorkload", "fn"),
 })
 
 #: Decorators that introduce process-level memoization.
@@ -93,7 +101,7 @@ class TrialPurityRule(Rule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         index = build_index(project)
-        reachable = self._reachable_units(index)
+        reachable = self.reachable_units(project, index)
         for qualname in sorted(reachable):
             unit = index.functions.get(qualname)
             if unit is not None:
@@ -101,17 +109,21 @@ class TrialPurityRule(Rule):
 
     # -- reachability -------------------------------------------------
 
-    def _entry_units(self, index: SymbolIndex) -> list[str]:
+    def _entry_units(self, project: Project,
+                     index: SymbolIndex) -> list[str]:
         entries = [e for e in self.entry_points if e in index.functions]
         for qualname, unit in index.functions.items():
             table = index.import_tables[unit.module.name]
             if decorator_names(unit.node, table) & self.entry_decorators:
                 entries.append(qualname)
+        entries.extend(_keyword_entries(project, index))
         return entries
 
-    def _reachable_units(self, index: SymbolIndex) -> set[str]:
+    def reachable_units(self, project: Project,
+                        index: SymbolIndex) -> set[str]:
+        """Qualnames of every function the trial path can reach."""
         seen: set[str] = set()
-        todo = self._entry_units(index)
+        todo = self._entry_units(project, index)
         while todo:
             qualname = todo.pop()
             if qualname in seen:
@@ -200,6 +212,36 @@ class TrialPurityRule(Rule):
                     f"reads module-level variable '{node.id}', state the "
                     "trial spec does not determine",
                     severity=Severity.WARNING)
+
+
+def _keyword_entries(project: Project, index: SymbolIndex) -> Iterator[str]:
+    """Functions passed as an entry keyword, e.g. ``FaasWorkload(fn=f)``."""
+    constructors = {name for name, _ in ENTRY_KEYWORDS}
+    for module in project.modules:
+        table = index.import_tables[module.name]
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _qualify(node.func, table, module.name, index)
+            if callee not in constructors:
+                continue
+            for keyword in node.keywords:
+                if (callee, keyword.arg) not in ENTRY_KEYWORDS:
+                    continue
+                target = _qualify(keyword.value, table, module.name, index)
+                if target in index.functions:
+                    yield target
+
+
+def _qualify(expr: ast.expr, table: ImportTable, module: str,
+             index: SymbolIndex) -> str | None:
+    """Canonical project qualname of a Name/Attribute reference."""
+    resolved = table.resolve(expr)
+    if resolved is None:
+        return None
+    if isinstance(expr, ast.Name) and resolved == expr.id:
+        resolved = f"{module}.{resolved}"   # a same-module name
+    return index.canonical(resolved)
 
 
 def _subscript_or_attribute_base(target: ast.expr) -> ast.expr | None:

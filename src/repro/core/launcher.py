@@ -37,8 +37,11 @@ class FunctionLauncher:
 
         The returned callable matches the :meth:`repro.tee.vm.Vm.run`
         signature; the common output shape (workload result + runtime
-        facts) eases cross-language comparison, as §IV-B notes.
+        facts) eases cross-language comparison, as §IV-B notes.  Bad
+        ``args`` raise :class:`~repro.errors.WorkloadError` here, before
+        any VM boots.
         """
+        args = workload.bind(args)
 
         def body(kernel: GuestKernel) -> dict[str, Any]:
             session = RuntimeSession(self.runtime, kernel)

@@ -6,25 +6,39 @@ kernels (fibonacci, primes, mandelbrot, n-body, spectral norm,
 fannkuch, matrix multiply).  Each computes a real, testable result at
 its configured size and charges compute units proportional to the
 actual operation counts.
+
+Where the real computation is plain host arithmetic it is a pure
+``_<name>_kernel`` of the integer args, memoized per process; the body
+charges the session from the kernel's counts on every trial.  The
+``allow[purity]`` pragma on each kernel rests on that purity: its
+``lru_cache`` key is its whole input.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any
 
 from repro.runtimes.base import RuntimeSession
-from repro.workloads.base import FaasWorkload, WorkloadTrait
+from repro.workloads.base import KERNEL_CACHE_SIZE, FaasWorkload, WorkloadTrait
 
 
-def cpustress(session: RuntimeSession, args: dict[str, Any]) -> dict[str, float]:
-    """Intensive trigonometric + arithmetic loop (paper §IV-D)."""
-    iterations = int(args["iterations"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _cpustress_kernel(iterations: int) -> float:  # confbench: allow[purity]
+    """Sum of the loop's iterates."""
     accumulator = 0.0
     x = 0.5
     for i in range(iterations):
         x = math.sin(x) * math.cos(x) + math.sqrt(abs(x) + 1.0)
         accumulator += x * 1.0000001
+    return accumulator
+
+
+def cpustress(session: RuntimeSession, args: dict[str, Any]) -> dict[str, float]:
+    """Intensive trigonometric + arithmetic loop (paper §IV-D)."""
+    iterations = int(args["iterations"])
+    accumulator = _cpustress_kernel(iterations)
     session.compute(iterations * 14)   # ~14 flops-equivalents per round
     return {"sum": accumulator, "iterations": iterations}
 
@@ -65,9 +79,9 @@ def ackermann(session: RuntimeSession, args: dict[str, Any]) -> int:
     return value
 
 
-def fibonacci(session: RuntimeSession, args: dict[str, Any]) -> int:
-    """Naive recursive Fibonacci (wasmi-benchmarks staple)."""
-    n = int(args["n"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _fibonacci_kernel(n: int) -> tuple[int, int]:  # confbench: allow[purity]
+    """``(fib(n), calls)``."""
     calls = 0
 
     def fib(k: int) -> int:
@@ -78,13 +92,19 @@ def fibonacci(session: RuntimeSession, args: dict[str, Any]) -> int:
         return fib(k - 1) + fib(k - 2)
 
     value = fib(n)
+    return value, calls
+
+
+def fibonacci(session: RuntimeSession, args: dict[str, Any]) -> int:
+    """Naive recursive Fibonacci (wasmi-benchmarks staple)."""
+    value, calls = _fibonacci_kernel(int(args["n"]))
     session.compute(calls * 7)
     return value
 
 
-def primes(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
-    """Sieve of Eratosthenes (Lua-Benchmarks 'sieve')."""
-    limit = int(args["limit"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _primes_kernel(limit: int) -> tuple[int, int]:  # confbench: allow[purity]
+    """``(primes up to limit, sieve stores)``."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\0\0"
     ops = 0
@@ -93,16 +113,21 @@ def primes(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
             for j in range(i * i, limit + 1, i):
                 sieve[j] = 0
                 ops += 1
-    count = sum(sieve)
+    return sum(sieve), ops
+
+
+def primes(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
+    """Sieve of Eratosthenes (Lua-Benchmarks 'sieve')."""
+    limit = int(args["limit"])
+    count, ops = _primes_kernel(limit)
     session.allocate(limit + 1)
     session.compute(ops * 3 + limit)
     return {"limit": limit, "count": count}
 
 
-def mandelbrot(session: RuntimeSession, args: dict[str, Any]) -> int:
-    """Mandelbrot membership over a small grid (Lua-Benchmarks 'mandel')."""
-    size = int(args["size"])
-    max_iter = int(args["max_iter"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _mandelbrot_kernel(size: int, max_iter: int) -> tuple[int, int]:  # confbench: allow[purity]
+    """``(points inside, total iterations)``."""
     inside = 0
     total_iters = 0
     for py in range(size):
@@ -117,13 +142,20 @@ def mandelbrot(session: RuntimeSession, args: dict[str, Any]) -> int:
             total_iters += i
             if i == max_iter:
                 inside += 1
+    return inside, total_iters
+
+
+def mandelbrot(session: RuntimeSession, args: dict[str, Any]) -> int:
+    """Mandelbrot membership over a small grid (Lua-Benchmarks 'mandel')."""
+    inside, total_iters = _mandelbrot_kernel(int(args["size"]),
+                                             int(args["max_iter"]))
     session.compute(total_iters * 10)
     return inside
 
 
-def nbody(session: RuntimeSession, args: dict[str, Any]) -> dict[str, float]:
-    """Planetary n-body energy simulation (shootout/wasmi kernel)."""
-    steps = int(args["steps"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _nbody_kernel(steps: int) -> tuple[float, int]:  # confbench: allow[purity]
+    """``(kinetic energy, pair interactions)``."""
     bodies = [
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4 * math.pi ** 2],     # sun
         [4.84, -1.16, -0.10, 0.606, 2.81, -0.02, 9.5e-4],      # jupiter-ish
@@ -150,14 +182,20 @@ def nbody(session: RuntimeSession, args: dict[str, Any]) -> dict[str, float]:
     for i in range(len(bodies)):
         bi = bodies[i]
         energy += 0.5 * bi[6] * (bi[3] ** 2 + bi[4] ** 2 + bi[5] ** 2)
+    return energy, interactions
+
+
+def nbody(session: RuntimeSession, args: dict[str, Any]) -> dict[str, float]:
+    """Planetary n-body energy simulation (shootout/wasmi kernel)."""
+    steps = int(args["steps"])
+    energy, interactions = _nbody_kernel(steps)
     session.compute(interactions * 30 + steps * 12)
     return {"steps": steps, "energy": energy}
 
 
-def spectralnorm(session: RuntimeSession, args: dict[str, Any]) -> float:
-    """Spectral norm power iteration (shootout kernel)."""
-    n = int(args["n"])
-    iterations = int(args["iterations"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _spectralnorm_kernel(n: int, iterations: int) -> tuple[float, int]:  # confbench: allow[purity]
+    """``(spectral norm, matrix-element products)``."""
 
     def a(i: int, j: int) -> float:
         return 1.0 / ((i + j) * (i + j + 1) / 2 + i + 1)
@@ -174,13 +212,19 @@ def spectralnorm(session: RuntimeSession, args: dict[str, Any]) -> float:
             ops += n
     vbv = sum(ui * vi for ui, vi in zip(u, v))
     vv = sum(vi * vi for vi in v)
+    return math.sqrt(vbv / vv), ops
+
+
+def spectralnorm(session: RuntimeSession, args: dict[str, Any]) -> float:
+    """Spectral norm power iteration (shootout kernel)."""
+    norm, ops = _spectralnorm_kernel(int(args["n"]), int(args["iterations"]))
     session.compute(ops * 8)
-    return math.sqrt(vbv / vv)
+    return norm
 
 
-def fannkuch(session: RuntimeSession, args: dict[str, Any]) -> int:
-    """Fannkuch permutation flipping (shootout kernel), returns max flips."""
-    n = int(args["n"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _fannkuch_kernel(n: int) -> tuple[int, int]:  # confbench: allow[purity]
+    """``(max flips, total flips)``."""
     perm = list(range(n))
     count = [0] * n
     max_flips = 0
@@ -201,8 +245,7 @@ def fannkuch(session: RuntimeSession, args: dict[str, Any]) -> int:
             max_flips = max(max_flips, flips)
         while True:
             if r == n:
-                session.compute(total_flips * 12 + 50)
-                return max_flips
+                return max_flips, total_flips
             perm.insert(r, perm.pop(0))
             count[r] -= 1
             if count[r] > 0:
@@ -210,9 +253,16 @@ def fannkuch(session: RuntimeSession, args: dict[str, Any]) -> int:
             r += 1
 
 
-def matrix_multiply(session: RuntimeSession, args: dict[str, Any]) -> float:
-    """Dense matrix multiplication; returns the result's trace."""
-    n = int(args["n"])
+def fannkuch(session: RuntimeSession, args: dict[str, Any]) -> int:
+    """Fannkuch permutation flipping (shootout kernel), returns max flips."""
+    max_flips, total_flips = _fannkuch_kernel(int(args["n"]))
+    session.compute(total_flips * 12 + 50)
+    return max_flips
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _matrix_kernel(n: int) -> float:  # confbench: allow[purity]
+    """Trace of the product of the two generated ``n x n`` matrices."""
     a = [[(i * n + j) % 7 + 1.0 for j in range(n)] for i in range(n)]
     b = [[(i + j) % 5 + 1.0 for j in range(n)] for i in range(n)]
     c = [[0.0] * n for _ in range(n)]
@@ -224,9 +274,16 @@ def matrix_multiply(session: RuntimeSession, args: dict[str, Any]) -> float:
             row_b = b[k]
             for j in range(n):
                 row_c[j] += aik * row_b[j]
+    return sum(c[i][i] for i in range(n))
+
+
+def matrix_multiply(session: RuntimeSession, args: dict[str, Any]) -> float:
+    """Dense matrix multiplication; returns the result's trace."""
+    n = int(args["n"])
+    trace = _matrix_kernel(n)
     session.allocate(3 * n * n * 8)
     session.compute(n * n * n * 4, working_set_bytes=3 * n * n * 8)
-    return sum(c[i][i] for i in range(n))
+    return trace
 
 
 def juliaset(session: RuntimeSession, args: dict[str, Any]) -> int:
@@ -315,6 +372,7 @@ COMPUTE_WORKLOADS = [
         fn=spectralnorm,
         default_args={"n": 40, "iterations": 6},
         origin="FaaSBenchmark",
+        min_args={"n": 1, "iterations": 1},
     ),
     FaasWorkload(
         name="fannkuch",
@@ -323,6 +381,7 @@ COMPUTE_WORKLOADS = [
         fn=fannkuch,
         default_args={"n": 6},
         origin="Lua-Benchmarks",
+        min_args={"n": 1},
     ),
     FaasWorkload(
         name="matrix",

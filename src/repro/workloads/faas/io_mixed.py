@@ -5,17 +5,24 @@ file writes), ``logging`` (3000 messages) and ``filesystem`` (nested
 folders + a 1 MB file lifecycle) — plus mixed kernels: base64,
 checksumming, run-length compression, hashing, BFS and a tiny
 template renderer.
+
+The mixed kernels do their real work in a pure ``_<name>_kernel`` of
+the integer args, memoized per process; the body charges the session
+from the kernel's counts on every trial.  The ``allow[purity]`` pragma
+on each kernel rests on that purity: its ``lru_cache`` key is its
+whole input.
 """
 
 from __future__ import annotations
 
 import base64 as b64
+import functools
 import hashlib
 import zlib
 from typing import Any
 
 from repro.runtimes.base import RuntimeSession
-from repro.workloads.base import FaasWorkload, WorkloadTrait
+from repro.workloads.base import KERNEL_CACHE_SIZE, FaasWorkload, WorkloadTrait
 
 
 def iostress(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
@@ -67,10 +74,9 @@ def filesystem(session: RuntimeSession, args: dict[str, Any]) -> dict[str, Any]:
     return {"bytes": file_bytes, "verified": ok}
 
 
-def base64_roundtrip(session: RuntimeSession, args: dict[str, Any]) -> dict[str, Any]:
-    """Encode/decode a buffer through base64 repeatedly."""
-    payload_bytes = int(args["payload_bytes"])
-    rounds = int(args["rounds"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _base64_kernel(payload_bytes: int, rounds: int) -> int:  # confbench: allow[purity]
+    """Encoded bytes (0 when no round ran); decoding restores the payload."""
     payload = bytes(range(256)) * (payload_bytes // 256 + 1)
     payload = payload[:payload_bytes]
     encoded = b""
@@ -79,29 +85,46 @@ def base64_roundtrip(session: RuntimeSession, args: dict[str, Any]) -> dict[str,
         decoded = b64.b64decode(encoded)
         if decoded != payload:
             raise AssertionError("base64 round-trip corrupted data")
-        session.allocate(len(encoded) + len(decoded))
-        session.compute(payload_bytes * 3, working_set_bytes=len(encoded))
-        session.release(len(encoded) + len(decoded))
-    return {"rounds": rounds, "encoded_bytes": len(encoded)}
+    return len(encoded)
+
+
+def base64_roundtrip(session: RuntimeSession, args: dict[str, Any]) -> dict[str, Any]:
+    """Encode/decode a buffer through base64 repeatedly."""
+    payload_bytes = int(args["payload_bytes"])
+    rounds = int(args["rounds"])
+    encoded_bytes = _base64_kernel(payload_bytes, rounds)
+    for _ in range(rounds):
+        session.allocate(encoded_bytes + payload_bytes)
+        session.compute(payload_bytes * 3, working_set_bytes=encoded_bytes)
+        session.release(encoded_bytes + payload_bytes)
+    return {"rounds": rounds, "encoded_bytes": encoded_bytes}
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _checksum_kernel(blocks: int, block_bytes: int) -> int:  # confbench: allow[purity]
+    """CRC32 over the generated blocks."""
+    value = 0
+    for index in range(blocks):
+        data = bytes((index + j) % 256 for j in range(256)) * (block_bytes // 256)
+        value = zlib.crc32(data, value)
+    return value
 
 
 def checksum(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
     """CRC32 over generated blocks, persisted to a result file."""
     blocks = int(args["blocks"])
     block_bytes = int(args["block_bytes"])
-    value = 0
-    for index in range(blocks):
-        data = bytes((index + j) % 256 for j in range(256)) * (block_bytes // 256)
-        value = zlib.crc32(data, value)
+    value = _checksum_kernel(blocks, block_bytes)
+    for _ in range(blocks):
         session.compute(block_bytes, working_set_bytes=block_bytes)
     session.write_file("/checksum.txt", f"{value:08x}".encode())
     session.delete_file("/checksum.txt")
     return {"blocks": blocks, "crc32": value}
 
 
-def compression(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
-    """Run-length encode a repetitive buffer and verify by decoding."""
-    payload_bytes = int(args["payload_bytes"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _compression_kernel(payload_bytes: int) -> int:  # confbench: allow[purity]
+    """Runs in the buffer's run-length encoding."""
     data = (b"A" * 19 + b"B" * 7 + b"C" * 3) * (payload_bytes // 29 + 1)
     data = data[:payload_bytes]
     encoded: list[tuple[int, int]] = []
@@ -117,28 +140,42 @@ def compression(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]
     decoded = b"".join(bytes([b]) * r for b, r in encoded)
     if decoded != data:
         raise AssertionError("RLE round-trip corrupted data")
-    session.allocate(len(encoded) * 2 + payload_bytes)
+    return len(encoded)
+
+
+def compression(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
+    """Run-length encode a repetitive buffer and verify by decoding."""
+    payload_bytes = int(args["payload_bytes"])
+    runs = _compression_kernel(payload_bytes)
+    session.allocate(runs * 2 + payload_bytes)
     session.compute(payload_bytes * 4, working_set_bytes=payload_bytes)
-    session.release(len(encoded) * 2 + payload_bytes)
-    return {"input_bytes": payload_bytes, "runs": len(encoded)}
+    session.release(runs * 2 + payload_bytes)
+    return {"input_bytes": payload_bytes, "runs": runs}
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _shahash_kernel(payload_bytes: int, rounds: int) -> str:  # confbench: allow[purity]
+    """Hex digest at the end of the SHA-256 chain."""
+    payload = b"\x42" * payload_bytes
+    digest = b""
+    for _ in range(rounds):
+        digest = hashlib.sha256(payload + digest).digest()
+    return digest.hex()
 
 
 def sha_hash(session: RuntimeSession, args: dict[str, Any]) -> dict[str, Any]:
     """SHA-256 a buffer repeatedly (tiny-keccak analogue)."""
     payload_bytes = int(args["payload_bytes"])
     rounds = int(args["rounds"])
-    payload = b"\x42" * payload_bytes
-    digest = b""
+    digest = _shahash_kernel(payload_bytes, rounds)
     for _ in range(rounds):
-        digest = hashlib.sha256(payload + digest).digest()
         session.compute(payload_bytes * 6, working_set_bytes=payload_bytes)
-    return {"rounds": rounds, "digest": digest.hex()}
+    return {"rounds": rounds, "digest": digest}
 
 
-def graph_bfs(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
-    """Breadth-first search over a deterministic random graph."""
-    nodes = int(args["nodes"])
-    degree = int(args["degree"])
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _graphbfs_kernel(nodes: int, degree: int) -> tuple[int, int]:  # confbench: allow[purity]
+    """``(nodes reached, edges walked)`` by BFS from node 0."""
     adjacency = [
         [((i * 7919 + k * 104729) % nodes) for k in range(degree)]
         for i in range(nodes)
@@ -158,6 +195,14 @@ def graph_bfs(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
                     reached += 1
                     next_frontier.append(neighbor)
         frontier = next_frontier
+    return reached, edges_walked
+
+
+def graph_bfs(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
+    """Breadth-first search over a deterministic random graph."""
+    nodes = int(args["nodes"])
+    degree = int(args["degree"])
+    reached, edges_walked = _graphbfs_kernel(nodes, degree)
     session.allocate(nodes * degree * 8)
     session.compute(edges_walked * 6, working_set_bytes=nodes * degree * 8)
     session.release(nodes * degree * 8)
@@ -228,6 +273,7 @@ IO_MIXED_WORKLOADS = [
         fn=compression,
         default_args={"payload_bytes": 192 * 1024},
         origin="FaaSBenchmark",
+        min_args={"payload_bytes": 1},
     ),
     FaasWorkload(
         name="shahash",
@@ -244,6 +290,7 @@ IO_MIXED_WORKLOADS = [
         fn=graph_bfs,
         default_args={"nodes": 4_000, "degree": 4},
         origin="FaaSBenchmark",
+        min_args={"nodes": 1},
     ),
     FaasWorkload(
         name="htmlrender",

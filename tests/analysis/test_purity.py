@@ -191,3 +191,83 @@ class TestSuppression:
         """})
         report = lint(tree, entry_points=("repro.core.runner.execute_trial",))
         assert report.findings == []
+
+
+FAAS_BASE = """
+    class FaasWorkload:
+        def __init__(self, name, fn, default_args=None):
+            self.name = name
+            self.fn = fn
+"""
+
+#: a FaaS body with an injected global rebind and module-list append;
+#: nothing calls it — the registry holds it in ``FaasWorkload.fn``
+FAAS_MUTATING_BODY = """
+    from repro.workloads.base import FaasWorkload
+
+    SEEN = []
+    calls = 0
+
+    def factors(session, args):
+        global calls
+        calls += 1
+        SEEN.append(args)
+        return args
+
+    COMPUTE_WORKLOADS = [FaasWorkload(name="factors", fn=factors)]
+"""
+
+
+class TestFaasBodyRoots:
+    def test_mutation_in_registered_body_flagged(self, make_tree):
+        tree = make_tree({
+            "core/runner.py": RUNNER_STUB,
+            "workloads/base.py": FAAS_BASE,
+            "workloads/faas/compute.py": FAAS_MUTATING_BODY,
+        })
+        report = lint(tree)
+        assert sorted((f.rule, f.symbol) for f in report.findings) == [
+            ("purity/global-write", "factors"),
+            ("purity/module-state-mutation", "factors"),
+        ]
+
+    def test_reexported_constructor_and_imported_body(self, make_tree):
+        tree = make_tree({
+            "core/runner.py": RUNNER_STUB,
+            "workloads/__init__.py": """
+                from repro.workloads.base import FaasWorkload
+            """,
+            "workloads/base.py": FAAS_BASE,
+            "workloads/bodies.py": """
+                HISTORY = {}
+
+                def probe(session, args):
+                    HISTORY[args["x"]] = session
+                    return args
+            """,
+            "workloads/registry.py": """
+                from repro.workloads import FaasWorkload
+                from repro.workloads.bodies import probe
+
+                PROBE = FaasWorkload("probe", fn=probe)
+            """,
+        })
+        report = lint(tree)
+        assert [(f.rule, f.symbol) for f in report.findings] == [
+            ("purity/module-state-mutation", "probe")]
+
+    def test_every_real_faas_body_is_a_root(self):
+        from pathlib import Path
+
+        from repro.analysis.core import load_project
+        from repro.analysis.dataflow import build_index
+        from repro.workloads.faas import figure_workloads
+
+        source = Path(__file__).resolve().parents[2] / "src" / "repro"
+        project = load_project([source])
+        reachable = TrialPurityRule().reachable_units(
+            project, build_index(project))
+        for workload in figure_workloads():
+            fn = workload.fn
+            assert f"{fn.__module__}.{fn.__qualname__}" in reachable, \
+                workload.name

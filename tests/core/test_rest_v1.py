@@ -160,6 +160,32 @@ class TestErrorEnvelope:
         assert status == 400
         assert "'args'" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("function, args, named", [
+        ("sort", {"n": 0}, "'n'"),
+        ("compression", {"payload_bytes": 0}, "'payload_bytes'"),
+        ("spectralnorm", {"n": 0}, "'n'"),
+        ("spectralnorm", {"iterations": 0}, "'iterations'"),
+        ("graphbfs", {"nodes": 0}, "'nodes'"),
+        ("fannkuch", {"n": 0}, "'n'"),
+        ("binarytrees", {"depth": -1}, "'depth'"),
+        ("cpustress", {"iterations": "x"}, "'iterations'"),
+        ("cpustress", {"iterations": True}, "'iterations'"),
+        ("cpustress", {"iterations": 2.5}, "'iterations'"),
+        ("cpustress", {"iterations": None}, "'iterations'"),
+        ("cpustress", {"rounds": 3}, "rounds"),
+    ], ids=lambda value: (value if isinstance(value, str)
+                          else "-".join(f"{k}={v!r}" for k, v in
+                                        value.items())))
+    def test_bad_function_args_is_400(self, server, function, args, named):
+        call(server, "POST", "/v1/functions", body={"name": function})
+        status, _, payload = call(server, "POST", "/v1/invoke",
+                                  body={"function": function,
+                                        "language": "lua", "args": args,
+                                        "trials": 1})
+        assert status == 400
+        assert_envelope(payload, "bad_request")
+        assert named in payload["error"]["message"]
+
 
 class TestStrictV1Invoke:
     def test_unknown_field_rejected_on_v1(self, server):

@@ -1,17 +1,24 @@
 """Tests for the FaaS workload suite: correctness of real results."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import UnknownWorkloadError
+from repro.core import TrialPlan
+from repro.core.runner import TrialRunner
+from repro.errors import UnknownWorkloadError, WorkloadError
 from repro.guestos.context import CostProfile, ExecContext
 from repro.guestos.kernel import GuestKernel
 from repro.hw.machine import xeon_gold_5515
 from repro.runtimes import RuntimeSession, runtime_by_name
+from repro.runtimes.registry import RUNTIME_NAMES
 from repro.sim.ledger import CostCategory
 from repro.sim.rng import SimRng
-from repro.workloads.base import FaasWorkload, WorkloadTrait
+from repro.workloads.base import KERNEL_CACHE_SIZE, FaasWorkload, WorkloadTrait
 from repro.workloads.faas import (
     FIGURE_WORKLOAD_NAMES,
+    compute,
+    io_mixed,
+    memory,
     all_workloads,
     figure_workloads,
     register_workload,
@@ -242,3 +249,124 @@ class TestCostShapes:
                 for lang in ("python", "lua", "go")
             }
             assert results["python"] == results["lua"] == results["go"], name
+
+
+class TestArgValidation:
+    @pytest.mark.parametrize("name, args", [
+        ("sort", {"n": 0}),
+        ("compression", {"payload_bytes": 0}),
+        ("spectralnorm", {"n": 0}),
+        ("fannkuch", {"n": 0}),
+        ("graphbfs", {"nodes": 0}),
+        ("binarytrees", {"depth": -1}),
+        ("cpustress", {"iterations": "x"}),
+        ("cpustress", {"iterations": True}),
+        ("cpustress", {"iterations": 6000.0}),
+        ("cpustress", {"bogus": 1}),
+        ("factors", [1, 2]),
+    ])
+    def test_bad_args_rejected_before_the_kernel(self, name, args):
+        kernel = KERNELS.get(name)
+        if kernel is not None:
+            kernel.cache_clear()
+        with pytest.raises(WorkloadError):
+            workload_by_name(name).run(fresh_session(), args)
+        if kernel is not None:
+            assert kernel.cache_info().currsize == 0
+
+    def test_smallest_domain_values_run(self):
+        for workload in figure_workloads():
+            floors = {arg: workload.min_args.get(arg, 0)
+                      for arg in workload.default_args}
+            assert workload.run(fresh_session(), floors) is not None, \
+                workload.name
+
+
+#: the figure functions whose host computation is a memoized kernel
+KERNELS = {
+    "cpustress": compute._cpustress_kernel,
+    "fibonacci": compute._fibonacci_kernel,
+    "primes": compute._primes_kernel,
+    "mandelbrot": compute._mandelbrot_kernel,
+    "nbody": compute._nbody_kernel,
+    "spectralnorm": compute._spectralnorm_kernel,
+    "fannkuch": compute._fannkuch_kernel,
+    "matrix": compute._matrix_kernel,
+    "sort": memory._sort_kernel,
+    "wordcount": memory._wordcount_kernel,
+    "jsonserde": memory._jsonserde_kernel,
+    "base64": io_mixed._base64_kernel,
+    "checksum": io_mixed._checksum_kernel,
+    "compression": io_mixed._compression_kernel,
+    "shahash": io_mixed._shahash_kernel,
+    "graphbfs": io_mixed._graphbfs_kernel,
+}
+
+#: per-workload upper bounds that keep generated args cheap
+SMALL_ARGS = {
+    "cpustress": {"iterations": 400},
+    "fibonacci": {"n": 14},
+    "primes": {"limit": 2_000},
+    "mandelbrot": {"size": 12, "max_iter": 30},
+    "nbody": {"steps": 40},
+    "spectralnorm": {"n": 8, "iterations": 3},
+    "fannkuch": {"n": 6},
+    "matrix": {"n": 8},
+    "sort": {"n": 400},
+    "wordcount": {"repeats": 40},
+    "jsonserde": {"rounds": 8},
+    "base64": {"payload_bytes": 3_000, "rounds": 4},
+    "checksum": {"blocks": 4, "block_bytes": 2_048},
+    "compression": {"payload_bytes": 2_000},
+    "shahash": {"payload_bytes": 1_000, "rounds": 4},
+    "graphbfs": {"nodes": 200, "degree": 4},
+}
+
+
+def _small_args(name):
+    workload = workload_by_name(name)
+    return st.tuples(st.just(name), st.fixed_dictionaries({
+        arg: st.integers(workload.min_args.get(arg, 0), cap)
+        for arg, cap in SMALL_ARGS[name].items()
+    }))
+
+
+def ledger_by_category(session):
+    ledger = session.ctx.ledger
+    return {category: ledger.get(category) for category in CostCategory}
+
+
+class TestKernelCache:
+    def test_every_kernel_is_a_bounded_cache(self):
+        assert sorted(KERNELS) == sorted(SMALL_ARGS)
+        for name, kernel in KERNELS.items():
+            assert kernel.cache_info().maxsize == KERNEL_CACHE_SIZE, name
+
+    def test_fig6_sweep_computes_each_kernel_once(self):
+        """Exact count: 2 platforms x 7 runtimes x secure/normal = 28
+        trials per function, one kernel miss and 27 hits each."""
+        for kernel in KERNELS.values():
+            kernel.cache_clear()
+        plan = TrialPlan.matrix(kind="faas", platforms=("tdx", "sev-snp"),
+                                workloads=FIGURE_WORKLOAD_NAMES,
+                                runtimes=RUNTIME_NAMES, trials=1, seed=0)
+        assert len(plan) == 28 * len(FIGURE_WORKLOAD_NAMES)
+        results = TrialRunner(jobs=1).run(plan)
+        assert not any(result.degraded for result in results)
+        counts = {name: kernel.cache_info()[:2]
+                  for name, kernel in KERNELS.items()}
+        assert counts == {name: (27, 1) for name in KERNELS}
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.sampled_from(sorted(KERNELS)).flatmap(_small_args))
+    def test_hit_charges_exactly_like_miss(self, case):
+        name, args = case
+        kernel = KERNELS[name]
+        kernel.cache_clear()
+        miss_result, miss_session = run_workload(name, args, lang="node")
+        hit_result, hit_session = run_workload(name, args, lang="node")
+        assert kernel.cache_info()[:2] == (1, 1)
+        assert hit_result == miss_result
+        assert ledger_by_category(hit_session) == \
+            ledger_by_category(miss_session)
+        assert hit_session.ctx.clock.now() == miss_session.ctx.clock.now()
