@@ -292,7 +292,13 @@ def body_factory(kind: str):
     return decorate
 
 
-@lru_cache(maxsize=128)
+#: Bodies memoized per process; covers the Fig. 6 grid (25 functions
+#: x 7 runtimes x 2 platforms = 350 bodies), so a repeated sweep
+#: rebuilds none.
+BODY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=BODY_CACHE_SIZE)
 def _cached_body(kind: str, workload: str, runtime: str | None,
                  params_json: str, platform: str) -> Callable:
     factory = _BODY_FACTORIES.get(kind)

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 from repro.errors import RuntimeModelError
 from repro.guestos.kernel import GuestKernel
-from repro.sim.opstream import Op
+from repro.sim.opstream import Op, OpBatch
+
+
+def _log_units(payload_len: int) -> int:
+    """Compute units one ``log`` call spends formatting its message."""
+    return 8 + payload_len // 8
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,8 @@ class RuntimeSession:
         self._require_booted()
         self.stdout_lines += 1
         payload = message.encode()
-        charged = self.compute(8 + len(payload) // 8)   # formatting work
-        charged += self.ctx.syscall_entry(320.0)        # write(2) to the log
+        charged = self.compute(_log_units(len(payload)))  # formatting work
+        charged += self.ctx.syscall_entry(320.0)          # write(2) to the log
         charged += self.ctx.mem_copy(len(payload))
         return charged
 
@@ -248,27 +253,71 @@ class RuntimeSession:
         """Record one ``log`` call's ops, evolving session state."""
         self.stdout_lines += 1
         payload_len = len(message.encode())
-        self._compute_ops(8 + payload_len // 8, 0, ops)
+        self._compute_ops(_log_units(payload_len), 0, ops)
         ops.append(Op("syscall", (320.0,)))
         ops.append(Op("mem_copy", (payload_len,)))
+
+    def _record_calls(self, batch: OpBatch, count: int, units: int,
+                      working_set_bytes: int = 0,
+                      message: str | None = None) -> None:
+        """Record ``count`` identical ``compute(units)`` calls — or, with
+        ``message``, ``log(message)`` calls — a run at a time.
+
+        One call is recorded at the current state; then the number of
+        following calls that would record the very same ops is worked
+        out in closed form.  A run ends at a JIT crossing (the dispatch
+        factor changes) or at a GC (the call appends a heap scan).
+        Compute and log churn is transient, so the heap — hence the
+        working set and the scan size — is constant within a run.  The
+        run goes into ``batch`` as one ``add_seq``, which coalesces
+        equal consecutive sequences, so the entries are exactly those
+        the per-call loop would build.
+        """
+        if count < 0:
+            raise RuntimeModelError(f"negative call count: {count}")
+        if units == 0:
+            return
+        model = self.model
+        churn = int(units * model.alloc_bytes_per_unit)
+        while count:
+            warm_remaining = (0 if model.jit_factor is None else
+                              max(0, model.jit_warmup_units - self.units_executed))
+            gc_runs = self.gc_runs
+            ops: list = []
+            if message is None:
+                self._compute_ops(units, working_set_bytes, ops)
+            else:
+                self._log_ops(message, ops)
+            repeats = count - 1
+            if warm_remaining:
+                # a cold call repeats while the next one still fits the
+                # warmup; the crossing call is followed by hot calls
+                repeats = min(repeats, 0 if warm_remaining < units else
+                              (model.jit_warmup_units - self.units_executed) // units)
+            if churn:
+                # the next calls repeat while their debt stays below
+                # the threshold; a collecting call is followed by none
+                repeats = min(repeats, 0 if self.gc_runs != gc_runs else
+                              (model.gc_threshold_bytes - self.gc_debt - 1) // churn)
+            batch.add_seq(ops, 1 + repeats)
+            self.units_executed += repeats * units
+            self.gc_debt += repeats * churn
+            if message is not None:
+                self.stdout_lines += repeats
+            count -= 1 + repeats
 
     def compute_batch(self, units: int, count: int,
                       working_set_bytes: int = 0) -> float:
         """Run ``count`` identical ``compute`` calls as one batch.
 
-        JIT warmup and GC still evolve call by call — each repetition
-        is recorded at its own session state — but all charges fold
-        into one ledger merge.  Byte-identical to calling
-        :meth:`compute` ``count`` times.
+        JIT warmup and GC evolve exactly as call by call (see
+        :meth:`_record_calls`), and all charges fold into one ledger
+        merge.  Byte-identical to calling :meth:`compute` ``count``
+        times.
         """
         self._require_booted()
-        if count < 0:
-            raise RuntimeModelError(f"negative call count: {count}")
         batch = self.ctx.batch()
-        for _ in range(count):
-            ops: list = []
-            self._compute_ops(units, working_set_bytes, ops)
-            batch.add_seq(ops)
+        self._record_calls(batch, count, units, working_set_bytes)
         return self.ctx.run_batch(batch)
 
     def batch(self) -> "SessionBatch":
@@ -323,10 +372,7 @@ class SessionBatch:
 
     def compute(self, units: int, working_set_bytes: int = 0,
                 count: int = 1) -> "SessionBatch":
-        for _ in range(count):
-            ops: list = []
-            self.session._compute_ops(units, working_set_bytes, ops)
-            self.batch.add_seq(ops)
+        self.session._record_calls(self.batch, count, units, working_set_bytes)
         return self
 
     def allocate(self, nbytes: int) -> "SessionBatch":
@@ -344,10 +390,8 @@ class SessionBatch:
         return self
 
     def log(self, message: str, count: int = 1) -> "SessionBatch":
-        for _ in range(count):
-            ops: list = []
-            self.session._log_ops(message, ops)
-            self.batch.add_seq(ops)
+        units = _log_units(len(message.encode()))
+        self.session._record_calls(self.batch, count, units, message=message)
         return self
 
     def commit(self) -> float:

@@ -48,12 +48,32 @@ def iostress(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
     return {"files": files, "bytes_written": written}
 
 
+def _log_message(index: int) -> str:
+    return f"[{index:06d}] request handled status=200 latency_ms=1.5"
+
+
+def _message_runs(messages: int) -> list[tuple[int, int]]:
+    """``(first index, count)`` per run of equally long messages.
+
+    The zero-padded index is six digits up to 999,999 and one digit
+    longer per further decade; a log call's ops read only the message
+    length, so each run is logged as one call with a count.
+    """
+    runs = []
+    start, width_end = 0, 1_000_000
+    while start < messages:
+        end = min(messages, width_end)
+        runs.append((start, end - start))
+        start, width_end = end, width_end * 10
+    return runs
+
+
 def logging_workload(session: RuntimeSession, args: dict[str, Any]) -> dict[str, int]:
     """Print a large number of messages (paper default: 3000)."""
     messages = int(args["messages"])
     batch = session.batch()
-    for i in range(messages):
-        batch.log(f"[{i:06d}] request handled status=200 latency_ms=1.5")
+    for first, count in _message_runs(messages):
+        batch.log(_log_message(first), count=count)
     batch.commit()
     return {"messages": messages, "stdout_lines": session.stdout_lines}
 

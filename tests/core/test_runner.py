@@ -6,14 +6,19 @@ import pytest
 
 from repro.core.resultstore import SpecResultCache
 from repro.core.runner import (
+    BODY_CACHE_SIZE,
     ParallelTrialExecutor,
     RunnerError,
     SerialTrialExecutor,
     TrialPlan,
     TrialRunner,
     TrialSpec,
+    _cached_body,
+    build_body,
     execute_trial,
 )
+from repro.runtimes.registry import RUNTIME_NAMES
+from repro.workloads.faas import FIGURE_WORKLOAD_NAMES
 
 
 def faas_spec(trial=0, seed=0, secure=True, platform="tdx",
@@ -150,6 +155,26 @@ class TestCache:
         runner = TrialRunner(cache=cache)
         runner.run(small_plan("tdx", seed=1))
         assert cache.hits == 0
+
+
+class TestBodyCache:
+    def test_second_fig6_pass_hits_every_body(self):
+        """Exact ratio: the Fig. 6 grid fits the body cache, so a warm
+        pass builds no body (a 128-entry LRU rebuilt every one)."""
+        plan = TrialPlan.matrix(kind="faas", platforms=("tdx", "sev-snp"),
+                                workloads=FIGURE_WORKLOAD_NAMES,
+                                runtimes=RUNTIME_NAMES, trials=1, seed=0)
+        assert len(plan) // 2 <= BODY_CACHE_SIZE
+        _cached_body.cache_clear()
+        for spec in plan:
+            build_body(spec)
+        hits, misses = _cached_body.cache_info()[:2]
+        for spec in plan:
+            build_body(spec)
+        warm_hits = _cached_body.cache_info().hits - hits
+        warm_misses = _cached_body.cache_info().misses - misses
+        assert warm_hits / (warm_hits + warm_misses) == 1.0
+        assert warm_hits == len(plan)
 
 
 class TestExecutors:

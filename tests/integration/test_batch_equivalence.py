@@ -188,6 +188,12 @@ GOLDEN_PLANS = {
                                     "checksum", "compression", "shahash",
                                     "graphbfs"),
                          runtimes=("node",), trials=1, seed=7),
+    # pinned before runs of identical session calls were recorded in
+    # closed form: a JIT crossing or a GC falls inside a run of
+    # logging messages or htmlrender rows under these runtimes
+    "faas_runs": dict(kind="faas", platforms=("tdx",),
+                      workloads=("logging", "htmlrender"),
+                      runtimes=("luajit", "ruby", "node"), trials=2, seed=7),
     "perop_ml": dict(kind="ml", platforms=("sev-snp",),
                      workloads=("inference",), trials=1, seed=7,
                      params={"count": 8, "side": 96}),

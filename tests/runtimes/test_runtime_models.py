@@ -157,6 +157,23 @@ class TestMemoryAndGc:
         assert session.gc_runs >= 1
 
 
+class TestBatchedCalls:
+    @pytest.mark.parametrize("record", [
+        lambda session: session.batch().compute(100, count=-1),
+        lambda session: session.batch().log("hello", count=-1),
+        lambda session: session.compute_batch(100, -1),
+    ], ids=["batch-compute", "batch-log", "compute-batch"])
+    def test_negative_count_rejected_before_recording(self, record):
+        session = make_session()
+        session.compute(100)
+        before = (session.units_executed, session.gc_debt,
+                  session.stdout_lines, session.ctx.clock.now())
+        with pytest.raises(RuntimeModelError):
+            record(session)
+        assert (session.units_executed, session.gc_debt,
+                session.stdout_lines, session.ctx.clock.now()) == before
+
+
 class TestLoggingAndFiles:
     def test_log_counts_lines_and_costs(self):
         session = make_session()

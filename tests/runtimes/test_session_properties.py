@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 from repro.guestos.context import CostProfile, ExecContext
 from repro.guestos.kernel import GuestKernel
 from repro.hw.machine import xeon_gold_5515
-from repro.runtimes import RUNTIME_NAMES, RuntimeSession, runtime_by_name
+from repro.runtimes import (
+    RUNTIME_NAMES,
+    RuntimeModel,
+    RuntimeSession,
+    runtime_by_name,
+)
 from repro.sim.rng import SimRng
 
 
@@ -117,3 +122,142 @@ def test_stdout_line_count_exact(messages):
     for message in messages:
         session.log(message)
     assert session.stdout_lines == len(messages)
+
+
+# -- runs of identical calls: closed form == per-call loop -------------------
+
+FACTORS = (1.0, 1.35, 3.0, 15.0, 26.0, 40.0)
+
+
+def synthetic_model(draw, units):
+    """A RuntimeModel whose GC threshold and JIT warmup may sit exactly
+    on, just off, or below a call boundary of ``units``."""
+    alloc = draw(st.sampled_from((0.0, 0.11, 0.45, 1.0, 5.2, 44.0, 62.0)))
+    churn = int(units * alloc)
+    threshold = draw(st.one_of(
+        st.integers(1, 1 << 22),
+        st.integers(1, max(1, churn)),                  # every call collects
+        st.integers(1, 40).map(lambda k: max(1, k * churn)),
+    ))
+    jit = draw(st.booleans())
+    return RuntimeModel(
+        name="synthetic", versions={"tdx": "0"}, startup_ns=1_000.0,
+        dispatch_factor=draw(st.sampled_from(FACTORS)),
+        alloc_bytes_per_unit=alloc,
+        mem_refs_per_unit=draw(st.sampled_from((0.0, 0.8, 6.0))),
+        gc_threshold_bytes=threshold,
+        gc_scan_fraction=draw(st.sampled_from((0.0, 0.2, 0.35))),
+        jit_factor=draw(st.sampled_from(FACTORS)) if jit else None,
+        jit_warmup_units=draw(st.one_of(
+            st.integers(0, 200_000),
+            st.integers(0, 40).map(lambda k: k * units),   # hit exactly
+        )) if jit else 0,
+    )
+
+
+@st.composite
+def call_runs(draw):
+    """A session in a generated starting state, plus one run of calls."""
+    kind = draw(st.sampled_from(("compute_batch", "batch.compute",
+                                 "batch.log")))
+    message = None
+    if kind == "batch.log":
+        message = draw(st.text(max_size=120))
+        units = 8 + len(message.encode()) // 8
+    else:
+        units = draw(st.one_of(st.just(0), st.integers(1, 5_000)))
+    if draw(st.booleans()):
+        model = runtime_by_name(draw(st.sampled_from(RUNTIME_NAMES)))
+    else:
+        model = synthetic_model(draw, units)
+    count = draw(st.integers(0, 60))
+    churn = int(units * model.alloc_bytes_per_unit)
+    threshold = model.gc_threshold_bytes
+    # start at a state whose next GC or JIT crossing may fall on the
+    # k-th call of the run exactly
+    gc_debt = draw(st.one_of(
+        st.integers(0, threshold - 1),
+        st.integers(1, 40).map(
+            lambda k: min(threshold - 1, max(0, threshold - k * churn))),
+    ))
+    units_executed = draw(st.one_of(
+        st.integers(0, 200_000),
+        st.integers(0, 40).map(
+            lambda k: max(0, model.jit_warmup_units - k * units)),
+    ))
+    return dict(
+        kind=kind, model=model, units=units, message=message, count=count,
+        working_set=draw(st.sampled_from((0, 4096, 1 << 20))),
+        noise=draw(st.sampled_from((0.0, 0.03))),
+        seed=draw(st.integers(0, 100)),
+        state=dict(units_executed=units_executed, gc_debt=gc_debt,
+                   heap_bytes=draw(st.integers(0, 1 << 22))),
+    )
+
+
+def run_session(case):
+    ctx = ExecContext(
+        machine=xeon_gold_5515(),
+        profile=CostProfile(noise_sigma=case["noise"]),
+        rng=SimRng(case["seed"]),
+    )
+    session = RuntimeSession(case["model"], GuestKernel(ctx))
+    session.bootstrap()
+    for name, value in case["state"].items():
+        setattr(session, name, value)
+    return session
+
+
+def per_call_oracle(session, case):
+    """The loop the closed form replaced: one record per call."""
+    batch = session.ctx.batch()
+    for _ in range(case["count"]):
+        ops: list = []
+        if case["message"] is None:
+            session._compute_ops(case["units"], case["working_set"], ops)
+        else:
+            session._log_ops(case["message"], ops)
+        batch.add_seq(ops)
+    return batch
+
+
+def observed(session, charged, entries):
+    ctx = session.ctx
+    return dict(
+        charged=charged, entries=entries,
+        ledger=dict(ctx.ledger), order=list(ctx.ledger),
+        clock=ctx.clock.now(), counters=ctx.machine.counters.as_dict(),
+        rng=(ctx.rng.raw_random().getstate(), ctx.rng.raw_random().gauss_next),
+        state={name: getattr(session, name) for name in (
+            "units_executed", "gc_debt", "gc_runs", "heap_bytes",
+            "stdout_lines")},
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=call_runs())
+def test_run_recording_equals_per_call_loop(case):
+    """Property: compute_batch and SessionBatch.compute/log(count=) build
+    the same OpBatch, ledger, clock, counters and session state as
+    recording each call on its own."""
+    expected_session = run_session(case)
+    batch = per_call_oracle(expected_session, case)
+    entries = list(batch.entries)
+    expected = observed(expected_session,
+                        expected_session.ctx.run_batch(batch), entries)
+
+    session = run_session(case)
+    units, count = case["units"], case["count"]
+    if case["kind"] == "compute_batch":
+        charged = session.compute_batch(units, count, case["working_set"])
+        # its OpBatch stays internal; the ledger, clock and RNG compare
+        entries = expected["entries"]
+    else:
+        staged = session.batch()
+        if case["kind"] == "batch.compute":
+            staged.compute(units, case["working_set"], count=count)
+        else:
+            staged.log(case["message"], count=count)
+        entries = list(staged.batch.entries)
+        charged = staged.commit()
+    assert observed(session, charged, entries) == expected

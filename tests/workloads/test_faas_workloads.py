@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import TrialPlan
-from repro.core.runner import TrialRunner
+from repro.core.runner import TrialRunner, execute_trial
 from repro.errors import UnknownWorkloadError, WorkloadError
 from repro.guestos.context import CostProfile, ExecContext
 from repro.guestos.kernel import GuestKernel
@@ -370,3 +370,52 @@ class TestKernelCache:
         assert ledger_by_category(hit_session) == \
             ledger_by_category(miss_session)
         assert hit_session.ctx.clock.now() == miss_session.ctx.clock.now()
+
+
+class TestRunRecording:
+    """Runs of identical session calls are recorded a run at a time."""
+
+    def test_logging_runs_split_at_digit_width(self):
+        split = io_mixed._message_runs
+        assert split(0) == []
+        assert split(3000) == [(0, 3000)]
+        assert split(999_999) == [(0, 999_999)]
+        assert split(1_000_000) == [(0, 1_000_000)]
+        assert split(1_000_001) == [(0, 1_000_000), (1_000_000, 1)]
+        assert split(10_000_001) == [(0, 1_000_000), (1_000_000, 9_000_000),
+                                     (10_000_000, 1)]
+        for first, count in split(1_000_002):
+            lengths = {len(io_mixed._log_message(index))
+                       for index in (first, first + count - 1)}
+            assert len(lengths) == 1
+        assert len(io_mixed._log_message(999_999)) + 1 == \
+            len(io_mixed._log_message(1_000_000))
+
+    def test_default_trials_record_at_most_three_calls(self, monkeypatch):
+        """Exact count of per-call expansions (``_compute_ops``) per
+        default trial on TDX; per-call recording makes 3000 for logging
+        and 900 for htmlrender.  A JIT crossing (luajit) or a GC
+        (ruby, python) splits a run in three."""
+        calls = []
+        expand = RuntimeSession._compute_ops
+
+        def counting(session, *args):
+            calls.append(session.model.name)
+            return expand(session, *args)
+
+        monkeypatch.setattr(RuntimeSession, "_compute_ops", counting)
+        plan = TrialPlan.matrix(kind="faas", platforms=("tdx",),
+                                workloads=("logging", "htmlrender"),
+                                runtimes=RUNTIME_NAMES, trials=1, seed=0)
+        per_trial = {}
+        for spec in plan:
+            calls.clear()
+            assert not execute_trial(spec).degraded
+            per_trial.setdefault((spec.workload, spec.runtime),
+                                 set()).add(len(calls))
+        logging = {runtime: per_trial["logging", runtime]
+                   for runtime in RUNTIME_NAMES}
+        assert logging == {runtime: {3 if runtime in ("luajit", "ruby") else 1}
+                           for runtime in RUNTIME_NAMES}
+        for runtime in RUNTIME_NAMES:
+            assert max(per_trial["htmlrender", runtime]) <= 3, runtime
