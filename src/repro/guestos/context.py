@@ -3,9 +3,11 @@
 An :class:`ExecContext` binds together a machine, a virtual clock, a
 cost ledger, a random stream, and a :class:`CostProfile`.  Workloads
 and the guest kernel call its ``cpu_execute`` / ``mem_alloc`` /
-``disk_read`` / ... methods; the context prices each operation with
-the machine models, applies the platform's multipliers and fixed
-costs, and charges the ledger while advancing the clock.
+``disk_read`` / ... methods or hand it an op batch; the context prices
+each operation with the machine models, applies the platform's
+multipliers and fixed costs, and charges the ledger while advancing
+the clock.  Each op kind has one pricing rule (``ExecContext._price``),
+which the per-op methods and the batch path both run.
 
 :class:`CostProfile` is the single extension point TEE platforms
 implement.  The default :data:`NATIVE_PROFILE` is a passthrough (all
@@ -16,6 +18,7 @@ confidential — VM so that secure/normal ratios have a clean baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.hw.machine import Machine
@@ -91,6 +94,13 @@ class CostProfile:
 
 NATIVE_PROFILE = CostProfile()
 
+#: Op kinds that charge their single argument, as is, to one category.
+_FLAT_KINDS = {
+    "crypto": CostCategory.CRYPTO,
+    "network_ns": CostCategory.NETWORK,
+    "startup": CostCategory.STARTUP,
+}
+
 
 @dataclass(slots=True)
 class ExecContext:
@@ -158,115 +168,149 @@ class ExecContext:
 
     # -- operation pricing --------------------------------------------
 
+    def _price(self, kind: str, args: tuple, counters: PerfCounters,
+               emit: Callable[[CostCategory, float], float]) -> float:
+        """The pricing rule of every op kind, shared by both executors.
+
+        Bumps ``counters`` and hands each ``(category, raw_ns)`` charge
+        to ``emit``, in per-op order: a counter bump listed after a
+        charge happens after that charge's ``emit`` returns, so a
+        charge observer sees the same counters whichever executor ran.
+        Raw values carry the profile's per-category multipliers but
+        not the simulator/noise factors (``emit`` applies those).
+        Returns the sum of ``emit``'s returns.
+
+        Compute time takes the CPU multiplier; the memory-reference
+        portion takes the memory-access multiplier plus the per-miss
+        surcharge (inline decryption + integrity check on line fills),
+        so memory-traffic-heavy code — e.g. managed language runtimes —
+        is taxed harder by TEEs than register-bound arithmetic.  Disk
+        I/O pays the bounce-buffer copy and the doorbell world switch;
+        a syscall pays the platform's fixed world switch.
+        """
+        profile = self.profile
+        if kind == "cpu":
+            instructions, memory_references, working_set_bytes = args
+            cpu = self.machine.cpu
+            hit_rate = None
+            if self._cache_bonus:
+                base = cpu.cache.hit_rate(working_set_bytes)
+                hit_rate = min(1.0, base + self._cache_bonus)
+            compute_ns, memory_ns, misses = cpu.execute_split(
+                instructions,
+                counters,
+                memory_references=memory_references,
+                working_set_bytes=working_set_bytes,
+                hit_rate_override=hit_rate,
+            )
+            charged = emit(CostCategory.CPU,
+                           compute_ns * profile.cpu_multiplier)
+            mem_cost = memory_ns * profile.mem_access_multiplier
+            if profile.mem_encrypted:
+                mem_cost += misses * profile.mem_miss_extra_ns
+            if mem_cost > 0:
+                charged += emit(CostCategory.MEM_ACCESS, mem_cost)
+            return charged
+        if kind == "syscall":
+            (base_cost_ns,) = args
+            charged = emit(CostCategory.SYSCALL,
+                           base_cost_ns * profile.syscall_multiplier)
+            if profile.syscall_transition_ns > 0:
+                counters.vm_transitions += 1
+                charged += emit(CostCategory.VM_TRANSITION,
+                                profile.syscall_transition_ns)
+            return charged
+        if kind == "mem_alloc":
+            (nbytes,) = args
+            raw = self.machine.memory.allocate(
+                nbytes, counters,
+                encrypted=profile.mem_encrypted,
+                integrity=profile.mem_integrity,
+            )
+            return emit(CostCategory.MEM_ALLOC,
+                        raw * profile.mem_alloc_multiplier)
+        if kind == "mem_copy":
+            (nbytes,) = args
+            raw = self.machine.memory.copy(
+                nbytes, counters,
+                encrypted=profile.mem_encrypted,
+                integrity=profile.mem_integrity,
+            )
+            return emit(CostCategory.MEM_ACCESS,
+                        raw * profile.mem_access_multiplier)
+        if kind == "disk_read" or kind == "disk_write":
+            (nbytes,) = args
+            if kind == "disk_read":
+                charged = emit(CostCategory.IO_READ,
+                               self.machine.disk.read(nbytes)
+                               * profile.io_read_multiplier)
+            else:
+                charged = emit(CostCategory.IO_WRITE,
+                               self.machine.disk.write(nbytes)
+                               * profile.io_write_multiplier)
+            if profile.io_bounce_per_byte_ns > 0 and nbytes > 0:
+                counters.bounce_buffer_bytes += nbytes
+                charged += emit(CostCategory.BOUNCE_BUFFER,
+                                nbytes * profile.io_bounce_per_byte_ns)
+            if profile.io_transition_ns > 0:
+                counters.vm_transitions += 1
+                charged += emit(CostCategory.VM_TRANSITION,
+                                profile.io_transition_ns)
+            return charged
+        if kind == "vm_transition":
+            (cost_ns,) = args
+            counters.vm_transitions += 1
+            return emit(CostCategory.VM_TRANSITION, cost_ns)
+        if kind == "event":
+            name, delta = args
+            setattr(counters, name, getattr(counters, name) + delta)
+            return 0.0
+        category = _FLAT_KINDS.get(kind)
+        if category is None:
+            raise SimulationError(f"unknown op kind: {kind!r}")
+        (nanos,) = args
+        return emit(category, nanos)
+
     def cpu_execute(
         self,
         instructions: int,
         memory_references: int = 0,
         working_set_bytes: int = 0,
     ) -> float:
-        """Execute a compute block; returns charged nanoseconds.
-
-        Compute time takes the CPU multiplier; the memory-reference
-        portion takes the memory-access multiplier plus the per-miss
-        surcharge (inline decryption + integrity check on line fills),
-        so memory-traffic-heavy code — e.g. managed language runtimes —
-        is taxed harder by TEEs than register-bound arithmetic.
-        """
-        cpu = self.machine.cpu
-        hit_rate = None
-        if self._cache_bonus:
-            base = cpu.cache.hit_rate(working_set_bytes)
-            hit_rate = min(1.0, base + self._cache_bonus)
-        compute_ns, memory_ns, misses = cpu.execute_split(
-            instructions,
-            self.machine.counters,
-            memory_references=memory_references,
-            working_set_bytes=working_set_bytes,
-            hit_rate_override=hit_rate,
-        )
-        charged = self.charge(
-            CostCategory.CPU, compute_ns * self.profile.cpu_multiplier
-        )
-        mem_cost = memory_ns * self.profile.mem_access_multiplier
-        if self.profile.mem_encrypted:
-            mem_cost += misses * self.profile.mem_miss_extra_ns
-        if mem_cost > 0:
-            charged += self.charge(CostCategory.MEM_ACCESS, mem_cost)
-        return charged
+        """Execute a compute block; returns charged nanoseconds."""
+        return self._price("cpu", (instructions, memory_references,
+                                   working_set_bytes),
+                           self.machine.counters, self.charge)
 
     def mem_alloc(self, nbytes: int) -> float:
         """Allocate memory; returns charged nanoseconds."""
-        raw = self.machine.memory.allocate(
-            nbytes,
-            self.machine.counters,
-            encrypted=self.profile.mem_encrypted,
-            integrity=self.profile.mem_integrity,
-        )
-        return self.charge(
-            CostCategory.MEM_ALLOC, raw * self.profile.mem_alloc_multiplier
-        )
+        return self._price("mem_alloc", (nbytes,), self.machine.counters,
+                           self.charge)
 
     def mem_copy(self, nbytes: int) -> float:
         """Bulk-copy memory; returns charged nanoseconds."""
-        raw = self.machine.memory.copy(
-            nbytes,
-            self.machine.counters,
-            encrypted=self.profile.mem_encrypted,
-            integrity=self.profile.mem_integrity,
-        )
-        return self.charge(
-            CostCategory.MEM_ACCESS, raw * self.profile.mem_access_multiplier
-        )
+        return self._price("mem_copy", (nbytes,), self.machine.counters,
+                           self.charge)
 
     def disk_read(self, nbytes: int) -> float:
         """Read from the block device, including TEE DMA costs."""
-        raw = self.machine.disk.read(nbytes)
-        charged = self.charge(
-            CostCategory.IO_READ, raw * self.profile.io_read_multiplier
-        )
-        charged += self._bounce(nbytes)
-        charged += self._io_kick()
-        return charged
+        return self._price("disk_read", (nbytes,), self.machine.counters,
+                           self.charge)
 
     def disk_write(self, nbytes: int) -> float:
         """Write to the block device, including TEE DMA costs."""
-        raw = self.machine.disk.write(nbytes)
-        charged = self.charge(
-            CostCategory.IO_WRITE, raw * self.profile.io_write_multiplier
-        )
-        charged += self._bounce(nbytes)
-        charged += self._io_kick()
-        return charged
-
-    def _io_kick(self) -> float:
-        if self.profile.io_transition_ns <= 0:
-            return 0.0
-        return self.vm_transition(self.profile.io_transition_ns)
-
-    def _bounce(self, nbytes: int) -> float:
-        if self.profile.io_bounce_per_byte_ns <= 0 or nbytes <= 0:
-            return 0.0
-        self.machine.counters.bounce_buffer_bytes += nbytes
-        return self.charge(
-            CostCategory.BOUNCE_BUFFER, nbytes * self.profile.io_bounce_per_byte_ns
-        )
+        return self._price("disk_write", (nbytes,), self.machine.counters,
+                           self.charge)
 
     def syscall_entry(self, base_cost_ns: float) -> float:
         """Price a syscall: kernel entry cost plus TEE world switches."""
-        charged = self.charge(
-            CostCategory.SYSCALL, base_cost_ns * self.profile.syscall_multiplier
-        )
-        if self.profile.syscall_transition_ns > 0:
-            self.machine.counters.vm_transitions += 1
-            charged += self.charge(
-                CostCategory.VM_TRANSITION, self.profile.syscall_transition_ns
-            )
-        return charged
+        return self._price("syscall", (base_cost_ns,), self.machine.counters,
+                           self.charge)
 
     def vm_transition(self, cost_ns: float) -> float:
         """An explicit world switch outside the syscall path."""
-        self.machine.counters.vm_transitions += 1
-        return self.charge(CostCategory.VM_TRANSITION, cost_ns)
+        return self._price("vm_transition", (cost_ns,),
+                           self.machine.counters, self.charge)
 
     def network_round_trip(self, payload_bytes: int) -> float:
         """One exchange on the host's NIC path."""
@@ -275,15 +319,18 @@ class ExecContext:
 
     def charge_network(self, nanos: float) -> float:
         """Charge externally priced network time (e.g. a WAN service)."""
-        return self.charge(CostCategory.NETWORK, nanos)
+        return self._price("network_ns", (nanos,), self.machine.counters,
+                           self.charge)
 
     def crypto(self, nanos: float) -> float:
         """Charge attestation/crypto work."""
-        return self.charge(CostCategory.CRYPTO, nanos)
+        return self._price("crypto", (nanos,), self.machine.counters,
+                           self.charge)
 
     def startup(self, nanos: float) -> float:
         """Charge bootstrap work (excluded from ratio measurements)."""
-        return self.charge(CostCategory.STARTUP, nanos)
+        return self._price("startup", (nanos,), self.machine.counters,
+                           self.charge)
 
     def elapsed_ns(self, exclude_startup: bool = True) -> float:
         """Total charged time, optionally net of STARTUP.
@@ -304,137 +351,29 @@ class ExecContext:
     def price_op(self, op: Op) -> tuple[ChargePattern, tuple]:
         """Price one op: its ordered charge pattern + counter deltas.
 
-        The pattern lists ``(category, raw_ns)`` pairs in the exact
-        order the per-op method would charge them; raw values carry
-        the per-category multipliers but not the simulator/noise
-        factors (those are applied by the accumulate kernel).  Counter
-        deltas are ``(field, delta)`` pairs from pricing one
-        repetition against a scratch bundle.
+        The pattern lists the ``(category, raw_ns)`` pairs
+        :meth:`_price` emits for the op, in order.  Counter deltas are
+        ``(field, delta)`` pairs from pricing one repetition against a
+        scratch bundle.
         """
         cached = self._price_cache.get(op)
         if cached is None:
-            cached = self._price_cache[op] = self._price_op(op)
+            scratch = PerfCounters()
+            charges: list[tuple[CostCategory, float]] = []
+
+            def record(category: CostCategory, raw: float) -> float:
+                charges.append((category, raw))
+                return raw
+
+            self._price(op.kind, op.args, scratch, record)
+            cached = self._price_cache[op] = (tuple(charges),
+                                              scratch.nonzero_events())
         return cached
 
-    def _price_op(self, op: Op) -> tuple[ChargePattern, tuple]:
-        profile = self.profile
-        scratch = PerfCounters()
-        charges: list[tuple[CostCategory, float]] = []
-        kind = op.kind
-        if kind == "cpu":
-            instructions, memory_references, working_set_bytes = op.args
-            cpu = self.machine.cpu
-            hit_rate = None
-            if self._cache_bonus:
-                base = cpu.cache.hit_rate(working_set_bytes)
-                hit_rate = min(1.0, base + self._cache_bonus)
-            compute_ns, memory_ns, misses = cpu.execute_split(
-                instructions,
-                scratch,
-                memory_references=memory_references,
-                working_set_bytes=working_set_bytes,
-                hit_rate_override=hit_rate,
-            )
-            charges.append((CostCategory.CPU,
-                            compute_ns * profile.cpu_multiplier))
-            mem_cost = memory_ns * profile.mem_access_multiplier
-            if profile.mem_encrypted:
-                mem_cost += misses * profile.mem_miss_extra_ns
-            if mem_cost > 0:
-                charges.append((CostCategory.MEM_ACCESS, mem_cost))
-        elif kind == "mem_alloc":
-            (nbytes,) = op.args
-            raw = self.machine.memory.allocate(
-                nbytes, scratch,
-                encrypted=profile.mem_encrypted,
-                integrity=profile.mem_integrity,
-            )
-            charges.append((CostCategory.MEM_ALLOC,
-                            raw * profile.mem_alloc_multiplier))
-        elif kind == "mem_copy":
-            (nbytes,) = op.args
-            raw = self.machine.memory.copy(
-                nbytes, scratch,
-                encrypted=profile.mem_encrypted,
-                integrity=profile.mem_integrity,
-            )
-            charges.append((CostCategory.MEM_ACCESS,
-                            raw * profile.mem_access_multiplier))
-        elif kind in ("disk_read", "disk_write"):
-            (nbytes,) = op.args
-            if kind == "disk_read":
-                raw = self.machine.disk.read(nbytes)
-                charges.append((CostCategory.IO_READ,
-                                raw * profile.io_read_multiplier))
-            else:
-                raw = self.machine.disk.write(nbytes)
-                charges.append((CostCategory.IO_WRITE,
-                                raw * profile.io_write_multiplier))
-            if profile.io_bounce_per_byte_ns > 0 and nbytes > 0:
-                scratch.bounce_buffer_bytes += nbytes
-                charges.append((CostCategory.BOUNCE_BUFFER,
-                                nbytes * profile.io_bounce_per_byte_ns))
-            if profile.io_transition_ns > 0:
-                scratch.vm_transitions += 1
-                charges.append((CostCategory.VM_TRANSITION,
-                                profile.io_transition_ns))
-        elif kind == "syscall":
-            (base_cost_ns,) = op.args
-            charges.append((CostCategory.SYSCALL,
-                            base_cost_ns * profile.syscall_multiplier))
-            if profile.syscall_transition_ns > 0:
-                scratch.vm_transitions += 1
-                charges.append((CostCategory.VM_TRANSITION,
-                                profile.syscall_transition_ns))
-        elif kind == "vm_transition":
-            (cost_ns,) = op.args
-            scratch.vm_transitions += 1
-            charges.append((CostCategory.VM_TRANSITION, cost_ns))
-        elif kind == "crypto":
-            (nanos,) = op.args
-            charges.append((CostCategory.CRYPTO, nanos))
-        elif kind == "network_ns":
-            (nanos,) = op.args
-            charges.append((CostCategory.NETWORK, nanos))
-        elif kind == "startup":
-            (nanos,) = op.args
-            charges.append((CostCategory.STARTUP, nanos))
-        elif kind == "event":
-            name, delta = op.args
-            setattr(scratch, name, getattr(scratch, name) + delta)
-        else:
-            raise SimulationError(f"unknown op kind: {kind!r}")
-        return tuple(charges), scratch.nonzero_events()
-
     def replay_op(self, op: Op) -> float:
-        """Execute one op through the per-op methods (the slow path)."""
-        kind, args = op
-        if kind == "cpu":
-            return self.cpu_execute(*args)
-        if kind == "mem_alloc":
-            return self.mem_alloc(*args)
-        if kind == "mem_copy":
-            return self.mem_copy(*args)
-        if kind == "disk_read":
-            return self.disk_read(*args)
-        if kind == "disk_write":
-            return self.disk_write(*args)
-        if kind == "syscall":
-            return self.syscall_entry(*args)
-        if kind == "vm_transition":
-            return self.vm_transition(*args)
-        if kind == "crypto":
-            return self.crypto(*args)
-        if kind == "network_ns":
-            return self.charge_network(*args)
-        if kind == "startup":
-            return self.startup(*args)
-        if kind == "event":
-            name, delta = args
-            counters = self.machine.counters
-            setattr(counters, name, getattr(counters, name) + delta)
-            return 0.0
-        raise SimulationError(f"unknown op kind: {kind!r}")
+        """Execute one op charge by charge (the per-op path)."""
+        return self._price(op.kind, op.args, self.machine.counters,
+                           self.charge)
 
     def run_batch(self, batch: OpBatch) -> float:
         """Execute an op batch; returns total charged nanoseconds.

@@ -142,6 +142,14 @@ class RuntimeSession:
             cold_units * model.dispatch_factor + hot_units * model.jit_factor
         ) / units
 
+    def _charge(self, ops: list) -> float:
+        """Charge recorded ops one by one; returns charged ns."""
+        replay = self.ctx.replay_op
+        charged = 0.0
+        for op in ops:
+            charged += replay(op)
+        return charged
+
     def compute(self, units: int, working_set_bytes: int = 0) -> float:
         """Execute ``units`` of abstract work; returns charged ns.
 
@@ -149,31 +157,18 @@ class RuntimeSession:
         equivalent of source-level work before runtime expansion.
         """
         self._require_booted()
-        if units < 0:
-            raise RuntimeModelError(f"negative compute units: {units}")
-        if units == 0:
-            return 0.0
-        factor = self._effective_factor(units)
-        instructions = int(units * factor)
-        mem_refs = int(units * self.model.mem_refs_per_unit)
-        charged = self.ctx.cpu_execute(
-            instructions,
-            memory_references=mem_refs,
-            working_set_bytes=working_set_bytes or self.heap_bytes,
-        )
-        # implicit allocation churn proportional to the work done
-        churn = int(units * self.model.alloc_bytes_per_unit)
-        if churn:
-            charged += self._allocate_internal(churn, transient=True)
-        self.units_executed += units
-        return charged
+        ops: list = []
+        self._compute_ops(units, working_set_bytes, ops)
+        return self._charge(ops)
 
     def allocate(self, nbytes: int) -> float:
         """Explicit allocation retained on the heap (e.g. buffers)."""
         self._require_booted()
         if nbytes < 0:
             raise RuntimeModelError(f"negative allocation: {nbytes}")
-        return self._allocate_internal(nbytes, transient=False)
+        ops: list = []
+        self._allocate_ops(nbytes, transient=False, ops=ops)
+        return self._charge(ops)
 
     def release(self, nbytes: int) -> None:
         """Drop ``nbytes`` from the tracked heap (free/unreference)."""
@@ -182,33 +177,12 @@ class RuntimeSession:
             raise RuntimeModelError(f"negative release: {nbytes}")
         self.heap_bytes = max(0, self.heap_bytes - nbytes)
 
-    def _allocate_internal(self, nbytes: int, transient: bool) -> float:
-        charged = self.ctx.mem_alloc(nbytes)
-        if not transient:
-            self.heap_bytes += nbytes
-        self.gc_debt += nbytes
-        if self.gc_debt >= self.model.gc_threshold_bytes:
-            charged += self._collect()
-        return charged
-
-    def _collect(self) -> float:
-        """A garbage collection: scan part of the live heap."""
-        self.gc_runs += 1
-        self.gc_debt = 0
-        scan_bytes = int(self.heap_bytes * self.model.gc_scan_fraction)
-        if scan_bytes <= 0:
-            return 0.0
-        return self.ctx.mem_copy(scan_bytes)
-
     def log(self, message: str) -> float:
         """Write one line to stdout (a write syscall through the kernel)."""
         self._require_booted()
-        self.stdout_lines += 1
-        payload = message.encode()
-        charged = self.compute(_log_units(len(payload)))  # formatting work
-        charged += self.ctx.syscall_entry(320.0)          # write(2) to the log
-        charged += self.ctx.mem_copy(len(payload))
-        return charged
+        ops: list = []
+        self._log_ops(message, ops)
+        return self._charge(ops)
 
     # -- batched operations --------------------------------------------------
 
@@ -218,8 +192,8 @@ class RuntimeSession:
 
         The JIT-warmup factor, GC-debt accounting and heap tracking
         are pure integer arithmetic independent of charging, so they
-        can run at record time; the appended ops then price exactly
-        like :meth:`compute` would have charged at this state.
+        run at record time, and a single call and a batch charge the
+        same recorded ops.
         """
         if units < 0:
             raise RuntimeModelError(f"negative compute units: {units}")
@@ -237,7 +211,8 @@ class RuntimeSession:
         self.units_executed += units
 
     def _allocate_ops(self, nbytes: int, transient: bool, ops: list) -> None:
-        """Record one ``_allocate_internal`` call's ops (incl. GC)."""
+        """Record one allocation's ops, including a triggered GC (a scan
+        of part of the live heap)."""
         ops.append(Op("mem_alloc", (nbytes,)))
         if not transient:
             self.heap_bytes += nbytes
@@ -315,10 +290,7 @@ class RuntimeSession:
         merge.  Byte-identical to calling :meth:`compute` ``count``
         times.
         """
-        self._require_booted()
-        batch = self.ctx.batch()
-        self._record_calls(batch, count, units, working_set_bytes)
-        return self.ctx.run_batch(batch)
+        return self.batch().compute(units, working_set_bytes, count).commit()
 
     def batch(self) -> "SessionBatch":
         """A staged recorder over compute/allocate/release/log."""

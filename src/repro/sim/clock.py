@@ -16,6 +16,8 @@ NANOS_PER_SECOND = 1_000_000_000
 NANOS_PER_MILLI = 1_000_000
 NANOS_PER_MICRO = 1_000
 
+_INF = float("inf")
+
 
 class VirtualClock:
     """A monotonic, explicitly-advanced nanosecond clock.
@@ -58,7 +60,7 @@ class VirtualClock:
             If ``delta_ns`` is negative (the clock is monotonic) or not
             a finite number.
         """
-        if not delta_ns >= 0:  # also rejects NaN
+        if not 0.0 <= delta_ns < _INF:  # also rejects NaN
             raise ClockError(f"cannot advance clock by {delta_ns!r} ns")
         self._now_ns += float(delta_ns)
         return self._now_ns

@@ -14,6 +14,8 @@ from collections.abc import Iterator, Mapping
 
 from repro.errors import SimulationError
 
+_INF = float("inf")
+
 
 class CostCategory(enum.Enum):
     """Where simulated time is spent.
@@ -68,7 +70,7 @@ class CostLedger:
         SimulationError
             If ``nanos`` is negative or not finite.
         """
-        if not nanos >= 0:
+        if not 0.0 <= nanos < _INF:  # also rejects NaN
             raise SimulationError(f"cannot charge {nanos!r} ns to {category}")
         self._charges[category] = self._charges.get(category, 0.0) + float(nanos)
 
@@ -106,14 +108,20 @@ class CostLedger:
         result bit-identical to charging per op.  Categories already
         present keep their dict position; new ones append in
         first-charge order — the same insertion order per-op charging
-        would produce.
+        would produce.  A negative or non-finite total raises before
+        any category changes.
+
+        Raises
+        ------
+        SimulationError
+            If a total is negative or not finite.
         """
-        charges = self._charges
+        items = list(items)
         for category, total in items:
-            if not total >= 0:
+            if not 0.0 <= total < _INF:
                 raise SimulationError(
                     f"cannot set {total!r} ns for {category}")
-            charges[category] = total
+        self._charges.update(items)
 
     def breakdown(self) -> Mapping[CostCategory, float]:
         """A read-only snapshot of per-category totals."""

@@ -29,9 +29,6 @@ at a time.  Three accumulation orders are load-bearing:
 :func:`accumulate` implements exactly that fold as one tight Python
 loop.  It is deliberately *not* vectorised: numpy's reductions use
 pairwise summation, which changes rounding and breaks the contract.
-numpy (when available) is only used by :class:`CostVector` for
-elementwise pricing arithmetic, where IEEE semantics match scalar
-Python exactly.
 """
 
 from __future__ import annotations
@@ -44,21 +41,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from repro.errors import SimulationError
 from repro.sim.ledger import CostCategory, CostLedger
 
-try:  # pragma: no cover - exercised indirectly via CostVector
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
-
-#: Fixed category order backing :class:`CostVector` slots.
-CATEGORIES: tuple[CostCategory, ...] = tuple(CostCategory)
-_CATEGORY_INDEX = {category: index for index, category in enumerate(CATEGORIES)}
-
 
 class Op(NamedTuple):
     """One simulated operation, platform-independent.
 
     ``kind`` selects the pricing rule (see
-    :meth:`repro.guestos.context.ExecContext.price_op`); ``args`` are
+    :meth:`repro.guestos.context.ExecContext._price`); ``args`` are
     the operation's size parameters.  Ops are value objects — equal
     ops price identically — which is what lets :class:`OpBatch`
     coalesce repeated sequences into *(pattern, count)* entries.
@@ -112,61 +100,13 @@ class OpBatch:
         return f"OpBatch(entries={len(self.entries)}, ops={self.op_count()})"
 
 
-class CostVector:
-    """Per-category cost totals with vectorised elementwise arithmetic.
-
-    A fixed-length vector indexed by :data:`CATEGORIES`, backed by
-    numpy when available and a plain list otherwise.  Used for batch
-    *pricing* aggregates (raw, pre-noise nanoseconds), where only
-    elementwise operations occur — elementwise float math is IEEE-
-    identical between numpy and scalar Python, unlike reductions.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self) -> None:
-        if _np is not None:
-            self._values = _np.zeros(len(CATEGORIES), dtype=_np.float64)
-        else:
-            self._values = [0.0] * len(CATEGORIES)
-
-    def add(self, category: CostCategory, nanos: float) -> None:
-        """Accumulate raw nanoseconds for one category."""
-        if not nanos >= 0:
-            raise SimulationError(f"cannot add {nanos!r} ns to {category}")
-        self._values[_CATEGORY_INDEX[category]] += nanos
-
-    def add_scaled(self, other: "CostVector", factor: float) -> None:
-        """Accumulate ``other * factor`` elementwise (e.g. a repeated op)."""
-        if _np is not None:
-            self._values += other._values * factor
-        else:
-            values, theirs = self._values, other._values
-            for index in range(len(values)):
-                values[index] += theirs[index] * factor
-
-    def get(self, category: CostCategory) -> float:
-        return float(self._values[_CATEGORY_INDEX[category]])
-
-    def total(self) -> float:
-        """Sum of all slots (reporting only — not byte-stable math)."""
-        return float(sum(self._values))
-
-    def as_mapping(self) -> dict[CostCategory, float]:
-        """Non-zero slots as a category → nanoseconds mapping."""
-        return {
-            category: float(self._values[index])
-            for index, category in enumerate(CATEGORIES)
-            if self._values[index]
-        }
-
-
 #: One repetition's charges: ordered (category, raw pre-noise ns) pairs.
 ChargePattern = tuple[tuple[CostCategory, float], ...]
 
 
 #: 2*pi, matching the constant ``random.py`` uses for Box-Muller.
 _TWOPI = 2.0 * math.pi
+_INF = math.inf
 
 
 def accumulate(
@@ -229,7 +169,7 @@ def accumulate(
             compiled: list[tuple[int, float]] = []
             for category, raw in pattern:
                 base = raw * sim_mult * run_noise
-                if not base >= 0:
+                if not 0.0 <= base < _INF:
                     raise SimulationError(
                         f"cannot charge {raw!r} ns to {category}")
                 index = index_of.get(category)

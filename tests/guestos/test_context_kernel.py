@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import GuestOsError
+from repro.errors import GuestOsError, SimulationError
 from repro.guestos.context import CostProfile, ExecContext
 from repro.guestos.kernel import GuestKernel
 from repro.hw.machine import xeon_gold_5515
 from repro.sim.ledger import CostCategory
+from repro.sim.opstream import Op
 from repro.sim.rng import SimRng
 
 
@@ -103,6 +104,21 @@ class TestExecContext:
         ctx = make_ctx()
         ctx.network_round_trip(4096)
         assert ctx.ledger.get(CostCategory.NETWORK) > 0
+
+    @pytest.mark.parametrize("executor", ["per_op", "batch"])
+    def test_infinite_charge_rejected_before_ledger_or_clock_change(
+            self, executor):
+        ctx = make_ctx(CostProfile(noise_sigma=0.02))
+        ctx.crypto(50.0)
+        before = (ctx.ledger.breakdown(), ctx.clock.now())
+        with pytest.raises(SimulationError):
+            if executor == "per_op":
+                ctx.crypto(float("inf"))
+            else:
+                batch = ctx.batch()
+                batch.add(Op("crypto", (float("inf"),)), 3)
+                ctx.run_batch(batch)
+        assert (ctx.ledger.breakdown(), ctx.clock.now()) == before
 
     def test_mem_alloc_encrypted_costs_more(self):
         plain = make_ctx()

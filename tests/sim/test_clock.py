@@ -49,6 +49,12 @@ class TestVirtualClock:
         with pytest.raises(ClockError):
             clock.advance(float("nan"))
 
+    def test_advance_rejects_infinity(self):
+        clock = VirtualClock()
+        with pytest.raises(ClockError):
+            clock.advance(float("inf"))
+        assert clock.now() == 0.0
+
     def test_advance_to_future(self):
         clock = VirtualClock()
         clock.advance_to(1000)

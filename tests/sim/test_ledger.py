@@ -33,6 +33,20 @@ class TestCharge:
         with pytest.raises(SimulationError):
             CostLedger().charge(CostCategory.CPU, float("nan"))
 
+    def test_rejects_infinite_charge(self):
+        ledger = CostLedger()
+        with pytest.raises(SimulationError):
+            ledger.charge(CostCategory.CPU, float("inf"))
+        assert len(ledger) == 0
+
+    def test_apply_batch_rejects_infinite_total_before_any_change(self):
+        ledger = CostLedger()
+        ledger.charge(CostCategory.CPU, 5.0)
+        with pytest.raises(SimulationError):
+            ledger.apply_batch([(CostCategory.CPU, 7.0),
+                                (CostCategory.IO_READ, float("inf"))])
+        assert ledger.breakdown() == {CostCategory.CPU: 5.0}
+
     def test_total_spans_categories(self):
         ledger = CostLedger()
         ledger.charge(CostCategory.CPU, 10.0)

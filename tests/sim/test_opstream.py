@@ -1,4 +1,4 @@
-"""The batched op-stream kernel: OpBatch, CostVector, accumulate."""
+"""The batched op-stream kernel: OpBatch, accumulate, BatchLedger."""
 
 from __future__ import annotations
 
@@ -10,14 +10,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
 from repro.sim.ledger import CostCategory, CostLedger
-from repro.sim.opstream import (
-    CATEGORIES,
-    BatchLedger,
-    CostVector,
-    Op,
-    OpBatch,
-    accumulate,
-)
+from repro.sim.opstream import BatchLedger, Op, OpBatch, accumulate
 
 
 class TestOpBatch:
@@ -49,51 +42,6 @@ class TestOpBatch:
     def test_negative_count_raises(self):
         with pytest.raises(SimulationError):
             OpBatch().add(Op("cpu", (1, 0, 0)), -1)
-
-
-class TestCostVector:
-    def test_add_and_get(self):
-        vector = CostVector()
-        vector.add(CostCategory.CPU, 5.0)
-        vector.add(CostCategory.CPU, 2.5)
-        assert vector.get(CostCategory.CPU) == 7.5
-        assert vector.get(CostCategory.IO_READ) == 0.0
-
-    def test_add_scaled_is_elementwise(self):
-        first, second = CostVector(), CostVector()
-        second.add(CostCategory.CPU, 3.0)
-        second.add(CostCategory.IO_READ, 1.0)
-        first.add_scaled(second, 4.0)
-        assert first.get(CostCategory.CPU) == 12.0
-        assert first.get(CostCategory.IO_READ) == 4.0
-
-    def test_negative_add_raises(self):
-        with pytest.raises(SimulationError):
-            CostVector().add(CostCategory.CPU, -1.0)
-
-    def test_as_mapping_skips_zero_slots(self):
-        vector = CostVector()
-        vector.add(CostCategory.SYSCALL, 9.0)
-        assert vector.as_mapping() == {CostCategory.SYSCALL: 9.0}
-
-    def test_total_covers_all_slots(self):
-        vector = CostVector()
-        vector.add(CostCategory.CPU, 1.0)
-        vector.add(CostCategory.IO_READ, 2.0)
-        assert vector.total() == pytest.approx(3.0)
-
-    def test_fallback_list_backend_matches(self, monkeypatch):
-        import repro.sim.opstream as opstream
-
-        monkeypatch.setattr(opstream, "_np", None)
-        vector = CostVector()
-        assert isinstance(vector._values, list)
-        vector.add(CostCategory.CPU, 5.0)
-        other = CostVector()
-        other.add(CostCategory.CPU, 1.5)
-        vector.add_scaled(other, 2.0)
-        assert vector.get(CostCategory.CPU) == 8.0
-        assert len(vector._values) == len(CATEGORIES)
 
 
 class TestAccumulate:
@@ -180,6 +128,12 @@ class TestAccumulate:
     def test_nan_charge_raises(self):
         with pytest.raises(SimulationError):
             accumulate([(((CostCategory.CPU, float("nan")),), 1)],
+                       1.0, 1.0, 0.0, random.Random(0),
+                       lambda category: 0.0, 0.0)
+
+    def test_infinite_charge_raises(self):
+        with pytest.raises(SimulationError):
+            accumulate([(((CostCategory.CPU, float("inf")),), 1)],
                        1.0, 1.0, 0.0, random.Random(0),
                        lambda category: 0.0, 0.0)
 

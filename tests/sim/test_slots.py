@@ -15,12 +15,12 @@ from repro.guestos.context import ExecContext
 from repro.guestos.kernel import KernelBatch, KernelOps
 from repro.runtimes.base import RuntimeSession, SessionBatch
 from repro.sim.ledger import CostLedger
-from repro.sim.opstream import BatchLedger, CostVector, OpBatch
+from repro.sim.opstream import BatchLedger, OpBatch
 from repro.sim.trace import Span, Trace
 
 SLOTTED = [
     Span, Trace, ExecContext, RuntimeSession,
-    OpBatch, CostVector, BatchLedger,
+    OpBatch, BatchLedger,
     KernelOps, KernelBatch, SessionBatch,
     CostLedger,
 ]
