@@ -51,7 +51,6 @@ from repro.analysis.cache import AnalysisCache
 from repro.analysis.concurrency import LockDisciplineRule
 from repro.analysis.core import (
     AnalysisError,
-    Analyzer,
     Finding,
     Project,
     Rule,
@@ -74,7 +73,6 @@ from repro.analysis.taint import ConfidentialTaintRule, TaintSpec
 __all__ = [
     "AnalysisCache",
     "AnalysisError",
-    "Analyzer",
     "Baseline",
     "ConfidentialTaintRule",
     "DeterminismRule",

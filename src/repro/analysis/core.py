@@ -1,4 +1,4 @@
-"""Analyzer core: rules, findings, parsed modules, the driver.
+"""Lint core: rules, findings, parsed modules.
 
 The design mirrors what small single-purpose linters (pyflakes-style)
 converge on: parse every file once into a :class:`SourceModule`, hand
@@ -173,43 +173,6 @@ class Rule:
     def check_project(self, project: Project) -> Iterator[Finding]:
         """Whole-tree pass; default: nothing."""
         return iter(())
-
-
-def _pragma_rule_ids(rule_id: str) -> tuple[str, ...]:
-    """Pragma keys that suppress a finding: exact id plus each family
-    prefix, so ``allow[determinism]`` covers ``determinism/wallclock``."""
-    parts = rule_id.split("/")
-    return tuple("/".join(parts[:i + 1]) for i in range(len(parts)))
-
-
-class Analyzer:
-    """Runs a rule set over a project and applies pragma suppressions."""
-
-    def __init__(self, rules: Sequence[Rule]) -> None:
-        if not rules:
-            raise AnalysisError("an analyzer needs at least one rule")
-        self.rules = list(rules)
-
-    def run(self, project: Project) -> list[Finding]:
-        """All non-suppressed findings, sorted by (path, line, rule)."""
-        pragma_index = {str(m.path): m.pragmas for m in project.modules}
-        findings = []
-        for finding in self._raw_findings(project):
-            pragmas = pragma_index.get(finding.path)
-            if pragmas is not None and any(
-                pragmas.allows(finding.line, key)
-                for key in _pragma_rule_ids(finding.rule)
-            ):
-                continue
-            findings.append(finding)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return findings
-
-    def _raw_findings(self, project: Project) -> Iterator[Finding]:
-        for rule in self.rules:
-            for module in project.modules:
-                yield from rule.check_module(module)
-            yield from rule.check_project(project)
 
 
 def collect_sources(paths: Iterable[Path]) -> list[Path]:

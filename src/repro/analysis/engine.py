@@ -38,7 +38,6 @@ from repro.analysis.core import (
     Rule,
     load_project,
 )
-from repro.analysis.core import _pragma_rule_ids
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.hotpath import HotPathRule
 from repro.analysis.layering import LayeringRule
@@ -192,6 +191,13 @@ def _occurrence_fingerprints(findings: list[Finding]
 
 # ---------------------------------------------------------------------------
 # execution
+
+
+def _pragma_rule_ids(rule_id: str) -> tuple[str, ...]:
+    """Pragma keys that suppress a finding: exact id plus each family
+    prefix, so ``allow[determinism]`` covers ``determinism/wallclock``."""
+    parts = rule_id.split("/")
+    return tuple("/".join(parts[:i + 1]) for i in range(len(parts)))
 
 
 def _apply_pragmas(findings: list[Finding],

@@ -38,7 +38,7 @@ HOT_PACKAGES = ("repro.tee", "repro.guestos", "repro.runtimes")
 CONTEXT_CHARGE_METHODS = frozenset({
     "charge", "cpu_execute", "mem_alloc", "mem_copy",
     "disk_read", "disk_write", "syscall_entry", "vm_transition",
-    "crypto", "network_round_trip", "charge_network", "startup",
+    "crypto", "charge_network", "startup",
 })
 
 #: Per-op operations on the runtime session (each funnels into one or

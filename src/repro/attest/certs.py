@@ -94,10 +94,6 @@ class CertificateRevocationList:
         """
         return not now_ns < self.next_update
 
-    def freshness_remaining_ns(self, now_ns: float) -> float:
-        """Virtual time until this CRL goes stale (0 when already stale)."""
-        return max(0.0, self.next_update - now_ns)
-
 
 class CertificateAuthority:
     """A CA that issues certificates and CRLs.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from repro.attest.certs import (
@@ -125,11 +126,10 @@ class RequestLog:
         self.capacity = capacity
         self.dropped = 0
         self.clean = 0
-        self._entries: list[str] = []
+        self._entries: deque[str] = deque(maxlen=capacity)
 
     def append(self, entry: str) -> None:
-        if len(self._entries) >= self.capacity:
-            del self._entries[0]
+        if len(self._entries) == self.capacity:
             self.dropped += 1
         if "!" not in entry:
             self.clean += 1
@@ -139,6 +139,8 @@ class RequestLog:
         return len(self._entries)
 
     def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._entries)[index]
         return self._entries[index]
 
     def __iter__(self):
@@ -148,11 +150,11 @@ class RequestLog:
         if isinstance(other, RequestLog):
             return self._entries == other._entries
         if isinstance(other, list):
-            return self._entries == other
+            return list(self._entries) == other
         return NotImplemented
 
     def __repr__(self) -> str:
-        return (f"RequestLog({self._entries!r}, "
+        return (f"RequestLog({list(self._entries)!r}, "
                 f"capacity={self.capacity}, dropped={self.dropped})")
 
 
@@ -305,25 +307,6 @@ class IntelPcs:
         self.collateral_cache[endpoint] = document
         self.collateral_fetched_at[endpoint] = ctx.clock.now()
         return document
-
-    def evict_expired(self, now_ns: float) -> int:
-        """Drop every cached document the freshness policy rejects.
-
-        Long sweeps call this (the verifier service does on collateral
-        rotation) so the cache holds at most one live document per
-        endpoint instead of growing a graveyard of unusable ones.
-        Returns the number of evicted entries.
-        """
-        rejected = [
-            endpoint for endpoint, document in self.collateral_cache.items()
-            if self.freshness.classify(
-                document, self.collateral_fetched_at.get(endpoint, 0.0),
-                now_ns) is Staleness.REJECT
-        ]
-        for endpoint in rejected:
-            del self.collateral_cache[endpoint]
-            self.collateral_fetched_at.pop(endpoint, None)
-        return len(rejected)
 
     def fetch_tcb_info(self, ctx: ExecContext) -> TcbInfo:
         """GET /tcb — signed TCB status for the platform."""

@@ -569,9 +569,8 @@ class VerifierService:
     def rotate_collateral(self) -> None:
         """Collateral rotated at the source (new TCB level, new CRL).
 
-        Purges the cache tiers, sweeps rejected PCS cache entries, and
-        ends every session — the next launches re-fetch and re-verify
-        against the new world.
+        Purges the cache tiers and ends every session — the next
+        launches re-fetch and re-verify against the new world.
         """
         self.stats["rotations"] += 1
         if self.collateral is not None:

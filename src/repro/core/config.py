@@ -2,12 +2,11 @@
 
 §III-A: "a dedicated gateway configuration file maps TEEs and their
 interface ports".  :class:`GatewayConfig` is that file's in-memory
-form, JSON round-trippable so deployments can keep it on disk.
+form; :func:`default_config` builds the paper's testbed in code.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import GatewayError
@@ -52,62 +51,9 @@ class GatewayConfig:
                 raise GatewayError(f"port collision on {sorted(overlap)}")
             seen_ports.update(entry.ports())
 
-    def entry_for(self, platform: str) -> PlatformEntry:
-        """The configuration entry for a platform."""
-        for entry in self.entries:
-            if entry.platform == platform:
-                return entry
-        known = ", ".join(sorted(e.platform for e in self.entries))
-        raise GatewayError(f"platform {platform!r} not configured (have: {known})")
-
     def platforms(self) -> list[str]:
         """Configured platform names, in entry order."""
         return [entry.platform for entry in self.entries]
-
-    # -- JSON round-trip -------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize to the on-disk configuration format."""
-        return json.dumps(
-            {
-                "load_balancing": self.load_balancing,
-                "default_trials": self.default_trials,
-                "platforms": [
-                    {
-                        "platform": entry.platform,
-                        "host": entry.host,
-                        "base_port": entry.base_port,
-                        "vm_count": entry.vm_count,
-                        "seed": entry.seed,
-                    }
-                    for entry in self.entries
-                ],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GatewayConfig":
-        """Parse the on-disk configuration format."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GatewayError(f"bad gateway config JSON: {exc}") from exc
-        entries = [
-            PlatformEntry(
-                platform=item["platform"],
-                host=item["host"],
-                base_port=item["base_port"],
-                vm_count=item.get("vm_count", 2),
-                seed=item.get("seed", 0),
-            )
-            for item in payload.get("platforms", [])
-        ]
-        return cls(
-            entries=entries,
-            load_balancing=payload.get("load_balancing", "round-robin"),
-            default_trials=payload.get("default_trials", 10),
-        )
 
 
 def default_config(seed: int = 0) -> GatewayConfig:

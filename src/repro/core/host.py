@@ -113,15 +113,6 @@ class Host:
                                   contention=factor))
         return results
 
-    def decommission(self, port: int) -> None:
-        """Destroy and unmap a VM."""
-        vm = self.vm_for_port(port)
-        try:
-            vm.destroy()
-        except VmError:
-            pass   # already destroyed; unmapping is the point
-        del self.port_map[port]
-
     def vms(self) -> list[Vm]:
         """All VMs on this host in port order."""
         return [self.port_map[port] for port in sorted(self.port_map)]

@@ -278,9 +278,3 @@ class TeePool:
         if index < self._cursor:
             self._cursor -= 1
         self._cursor %= len(self.workers)
-
-    def total_served(self) -> int:
-        return sum(worker.served for worker in self.workers)
-
-    def total_failed(self) -> int:
-        return sum(worker.failed for worker in self.workers)

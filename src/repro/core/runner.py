@@ -54,7 +54,7 @@ from repro.sim.faults import (
     FaultPlan,
 )
 from repro.sim.ledger import CostCategory, CostLedger
-from repro.sim.rng import SimRng, derive_seed
+from repro.sim.rng import SimRng
 from repro.sim.trace import Trace
 from repro.tee.base import VmConfig
 from repro.tee.registry import platform_by_name
@@ -128,17 +128,6 @@ class TrialSpec:
     def cell(self) -> tuple[str, str, str | None, bool]:
         """Aggregation key: (platform, workload, runtime, secure)."""
         return (self.platform, self.workload, self.runtime, self.secure)
-
-    def derived_seed(self) -> int:
-        """The per-trial seed, a pure function of the spec.
-
-        Derived from (root seed, kind, workload, runtime, platform,
-        secure, trial) — NOT from VM identity or how many other trials
-        ran before this one — so trial K's jitter is unchanged when the
-        total trial count changes and when trials run out of order on
-        the parallel executor.
-        """
-        return derive_seed(self.seed, self._stream_label())
 
     def _stream_label(self) -> str:
         side = "secure" if self.secure else "normal"

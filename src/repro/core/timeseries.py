@@ -47,13 +47,6 @@ class TimeSeries:
         values = [getattr(sample, attribute) for sample in self.samples]
         return [b - a for a, b in zip(values, values[1:])]
 
-    def peak_interval(self, attribute: str) -> int:
-        """Index of the interval with the largest increment."""
-        increments = self.deltas(attribute)
-        if not increments:
-            raise MonitorError("need at least two samples for deltas")
-        return max(range(len(increments)), key=increments.__getitem__)
-
     def category_share(self, category: CostCategory,
                        exclude_startup: bool = True) -> list[float]:
         """Per-sample share of total cost in one category.

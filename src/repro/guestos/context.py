@@ -312,11 +312,6 @@ class ExecContext:
         return self._price("vm_transition", (cost_ns,),
                            self.machine.counters, self.charge)
 
-    def network_round_trip(self, payload_bytes: int) -> float:
-        """One exchange on the host's NIC path."""
-        raw = self.machine.nic.round_trip(payload_bytes, self.rng)
-        return self.charge(CostCategory.NETWORK, raw)
-
     def charge_network(self, nanos: float) -> float:
         """Charge externally priced network time (e.g. a WAN service)."""
         return self._price("network_ns", (nanos,), self.machine.counters,

@@ -191,16 +191,6 @@ class GuestKernel:
         self._enter(SyscallKind.GETPID)
         return self.scheduler.current_pid
 
-    def sys_clock_gettime(self) -> float:
-        """Virtual time in nanoseconds (vDSO-priced)."""
-        self._enter(SyscallKind.CLOCK_GETTIME)
-        return self.ctx.clock.now()
-
-    def sys_brk(self, nbytes: int) -> None:
-        """Grow the heap by ``nbytes``."""
-        self._enter(SyscallKind.BRK)
-        self.ctx.mem_alloc(nbytes)
-
     # -- filesystem syscalls ---------------------------------------------
 
     def sys_create(self, path: str) -> None:
@@ -287,11 +277,6 @@ class GuestKernel:
         self._enter(SyscallKind.WAIT)
         pid = parent_pid if parent_pid is not None else self.scheduler.current_pid
         return self.processes.wait(pid)
-
-    def sys_yield(self) -> int:
-        """Round-robin to the next runnable process."""
-        self._enter(SyscallKind.SCHED_YIELD)
-        return self.scheduler.next()
 
     # -- pipes and context switches ----------------------------------------
 

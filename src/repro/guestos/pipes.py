@@ -23,8 +23,6 @@ class Pipe:
             raise GuestOsError(f"pipe capacity must be positive: {capacity}")
         self.capacity = capacity
         self._buffer = bytearray()
-        self._read_closed = False
-        self._write_closed = False
         self.total_written = 0
         self.total_read = 0
 
@@ -45,10 +43,6 @@ class Pipe:
 
     def write(self, data: bytes) -> int:
         """Write up to the available space; returns bytes accepted."""
-        if self._write_closed:
-            raise GuestOsError("write end closed")
-        if self._read_closed:
-            raise GuestOsError("broken pipe: read end closed")
         accepted = data[: self.space]
         self._buffer.extend(accepted)
         self.total_written += len(accepted)
@@ -56,24 +50,9 @@ class Pipe:
 
     def read(self, length: int) -> bytes:
         """Read up to ``length`` buffered bytes (may be empty)."""
-        if self._read_closed:
-            raise GuestOsError("read end closed")
         if length < 0:
             raise GuestOsError(f"negative read length: {length}")
         chunk = bytes(self._buffer[:length])
         del self._buffer[: len(chunk)]
         self.total_read += len(chunk)
         return chunk
-
-    def close_write(self) -> None:
-        """Close the write end (reads drain the remaining buffer)."""
-        self._write_closed = True
-
-    def close_read(self) -> None:
-        """Close the read end (subsequent writes fail)."""
-        self._read_closed = True
-
-    @property
-    def eof(self) -> bool:
-        """True when the writer closed and the buffer is drained."""
-        return self._write_closed and not self._buffer

@@ -34,9 +34,6 @@ class SyscallKind(enum.Enum):
     PIPE_WRITE = "pipe_write"
     SLEEP = "sleep"
     WAKE = "wake"
-    SCHED_YIELD = "sched_yield"
-    CLOCK_GETTIME = "clock_gettime"
-    BRK = "brk"
 
 
 # Base kernel-entry + service cost in nanoseconds (native, no TEE).
@@ -59,9 +56,6 @@ BASE_COST_NS: dict[SyscallKind, float] = {
     SyscallKind.PIPE_WRITE: 380.0,
     SyscallKind.SLEEP: 900.0,
     SyscallKind.WAKE: 900.0,
-    SyscallKind.SCHED_YIELD: 250.0,
-    SyscallKind.CLOCK_GETTIME: 25.0,
-    SyscallKind.BRK: 600.0,
 }
 
 

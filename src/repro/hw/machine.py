@@ -43,10 +43,6 @@ class Machine:
     nic: NicModel
     counters: PerfCounters = field(default_factory=PerfCounters)
 
-    def reset_counters(self) -> None:
-        """Zero the host's performance counters."""
-        self.counters = PerfCounters()
-
 
 def xeon_gold_5515() -> Machine:
     """The paper's Intel TDX host (Xeon Gold 5515+, 8 cores, 3.2 GHz)."""

@@ -108,18 +108,6 @@ class PerfCounters:
             for name, value in items:
                 sink.count(name, value)
 
-    def cache_miss_rate(self) -> float:
-        """Cache misses per reference (0.0 when no references)."""
-        if self.cache_references == 0:
-            return 0.0
-        return self.cache_misses / self.cache_references
-
-    def ipc(self) -> float:
-        """Instructions per cycle (0.0 when no cycles)."""
-        if self.cycles == 0:
-            return 0.0
-        return self.instructions / self.cycles
-
 
 #: Counter names in declaration order, resolved once — ``fields()``
 #: rebuilds its tuple on every call, which shows up on the hot path.

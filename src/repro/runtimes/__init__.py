@@ -25,7 +25,6 @@ from repro.runtimes.base import RuntimeModel, RuntimeSession
 from repro.runtimes.registry import (
     RUNTIME_NAMES,
     runtime_by_name,
-    all_runtimes,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "RuntimeSession",
     "RUNTIME_NAMES",
     "runtime_by_name",
-    "all_runtimes",
 ]

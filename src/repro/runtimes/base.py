@@ -31,9 +31,6 @@ class RuntimeModel:
     ----------
     name:
         Registry key (``python``, ``node``, ...).
-    versions:
-        Version string per platform, as listed in §IV-A (versions
-        differ between the TDX/SEV/CCA images).
     startup_ns:
         Interpreter/VM bootstrap cost.  Charged as STARTUP and thus
         excluded from the paper-style timing measurements.
@@ -55,7 +52,6 @@ class RuntimeModel:
     """
 
     name: str
-    versions: dict[str, str]
     startup_ns: float
     dispatch_factor: float
     alloc_bytes_per_unit: float
@@ -70,22 +66,6 @@ class RuntimeModel:
             raise RuntimeModelError(f"{self.name}: dispatch factor must be positive")
         if self.jit_factor is not None and self.jit_factor <= 0:
             raise RuntimeModelError(f"{self.name}: JIT factor must be positive")
-
-    @property
-    def is_managed(self) -> bool:
-        """True for runtimes with significant GC/boxing traffic."""
-        return self.alloc_bytes_per_unit >= 4.0
-
-    def version_for(self, platform: str) -> str:
-        """The runtime version installed in a platform's VM images."""
-        try:
-            return self.versions[platform]
-        except KeyError:
-            available = ", ".join(sorted(self.versions))
-            raise RuntimeModelError(
-                f"runtime {self.name!r} has no version for platform "
-                f"{platform!r} (has: {available})"
-            ) from None
 
 
 class RuntimeSession:

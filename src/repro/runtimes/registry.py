@@ -1,4 +1,4 @@
-"""The seven runtimes of §IV-A, with the paper's per-platform versions.
+"""The seven runtimes of §IV-A.
 
 Calibration rationale per runtime:
 
@@ -29,8 +29,6 @@ _MS = 1e6   # ns per millisecond
 _MODELS: dict[str, RuntimeModel] = {
     "python": RuntimeModel(
         name="python",
-        versions={"tdx": "3.12.3", "sev-snp": "3.10.12", "cca": "3.11.8",
-                  "novm": "3.12.3"},
         startup_ns=28 * _MS,
         dispatch_factor=40.0,
         alloc_bytes_per_unit=44.0,
@@ -40,8 +38,6 @@ _MODELS: dict[str, RuntimeModel] = {
     ),
     "node": RuntimeModel(
         name="node",
-        versions={"tdx": "22.2.0", "sev-snp": "22.2.0", "cca": "20.12.2",
-                  "novm": "22.2.0"},
         startup_ns=45 * _MS,
         dispatch_factor=26.0,
         jit_factor=3.0,
@@ -53,7 +49,6 @@ _MODELS: dict[str, RuntimeModel] = {
     ),
     "ruby": RuntimeModel(
         name="ruby",
-        versions={"tdx": "3.2", "sev-snp": "3.0", "cca": "3.3", "novm": "3.2"},
         startup_ns=60 * _MS,
         dispatch_factor=48.0,
         alloc_bytes_per_unit=62.0,
@@ -63,8 +58,6 @@ _MODELS: dict[str, RuntimeModel] = {
     ),
     "lua": RuntimeModel(
         name="lua",
-        versions={"tdx": "5.4.6", "sev-snp": "5.4.6", "cca": "5.4.6",
-                  "novm": "5.4.6"},
         startup_ns=1.5 * _MS,
         dispatch_factor=15.0,
         alloc_bytes_per_unit=5.3,
@@ -74,7 +67,6 @@ _MODELS: dict[str, RuntimeModel] = {
     ),
     "luajit": RuntimeModel(
         name="luajit",
-        versions={"tdx": "2.1", "sev-snp": "2.1", "cca": "2.1", "novm": "2.1"},
         startup_ns=2 * _MS,
         dispatch_factor=15.0,
         jit_factor=1.8,
@@ -86,8 +78,6 @@ _MODELS: dict[str, RuntimeModel] = {
     ),
     "go": RuntimeModel(
         name="go",
-        versions={"tdx": "1.20.3", "sev-snp": "1.20.3", "cca": "1.20.3",
-                  "novm": "1.20.3"},
         startup_ns=0.9 * _MS,
         dispatch_factor=1.35,
         alloc_bytes_per_unit=0.11,
@@ -97,8 +87,6 @@ _MODELS: dict[str, RuntimeModel] = {
     ),
     "wasm": RuntimeModel(
         name="wasm",
-        versions={"tdx": "wasmi-0.32", "sev-snp": "wasmi-0.32",
-                  "cca": "wasmi-0.32", "novm": "wasmi-0.32"},
         startup_ns=4 * _MS,
         dispatch_factor=10.0,
         alloc_bytes_per_unit=1.5,
@@ -126,8 +114,3 @@ def runtime_by_name(name: str) -> RuntimeModel:
         raise UnknownRuntimeError(
             f"unknown runtime {name!r}; supported: {', '.join(RUNTIME_NAMES)}"
         ) from None
-
-
-def all_runtimes() -> list[RuntimeModel]:
-    """All runtime models in registry order."""
-    return [_MODELS[name] for name in RUNTIME_NAMES]

@@ -9,8 +9,8 @@ This package provides the foundation every other layer builds on:
   explain *where* overhead comes from.
 - :mod:`repro.sim.rng` — seeded random streams with the distributions
   used for realistic jitter (lognormal multiplicative noise).
-- :mod:`repro.sim.events` — a minimal discrete-event scheduler used by
-  the network / PCS simulation.
+- :mod:`repro.sim.events` — the bare-tuple event queue that serves the
+  cluster engine only; per-trial runs advance their clock directly.
 - :mod:`repro.sim.trace` — structured span traces recording each
   run's phases (boot/launch/execute/...) with virtual timestamps and
   per-span ledger deltas.
@@ -34,7 +34,6 @@ from repro.sim.faults import (
 )
 from repro.sim.ledger import CostCategory, CostLedger
 from repro.sim.rng import SimRng
-from repro.sim.events import EventLoop, Event
 from repro.sim.trace import Span, Trace
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "CostCategory",
     "CostLedger",
     "SimRng",
-    "EventLoop",
-    "Event",
     "Span",
     "Trace",
     "FaultKind",

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from repro.errors import ClockError
 
-NANOS_PER_SECOND = 1_000_000_000
 NANOS_PER_MILLI = 1_000_000
-NANOS_PER_MICRO = 1_000
 
 _INF = float("inf")
 
@@ -47,10 +45,6 @@ class VirtualClock:
         """Return the current virtual time in nanoseconds."""
         return self._now_ns
 
-    def now_seconds(self) -> float:
-        """Return the current virtual time in seconds."""
-        return self._now_ns / NANOS_PER_SECOND
-
     def advance(self, delta_ns: float) -> float:
         """Move the clock forward by ``delta_ns`` and return the new time.
 
@@ -82,23 +76,3 @@ class VirtualClock:
 def ns_to_ms(ns: float) -> float:
     """Convert nanoseconds to milliseconds."""
     return ns / NANOS_PER_MILLI
-
-
-def ns_to_seconds(ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return ns / NANOS_PER_SECOND
-
-
-def seconds_to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds * NANOS_PER_SECOND
-
-
-def ms_to_ns(ms: float) -> float:
-    """Convert milliseconds to nanoseconds."""
-    return ms * NANOS_PER_MILLI
-
-
-def us_to_ns(us: float) -> float:
-    """Convert microseconds to nanoseconds."""
-    return us * NANOS_PER_MICRO

@@ -1,142 +1,26 @@
-"""Minimal discrete-event scheduler.
+"""The discrete-event queue behind the cluster engine.
 
-Used by the simulated network (host↔gateway traffic, Intel PCS
-round-trips) and by the co-location ablation, where several VMs share a
-host and their activity must interleave on one virtual timeline.
+:class:`repro.core.cluster.gateway.ClusterGateway` interleaves every
+request's arrival, service and health events on one virtual timeline
+through a :class:`LeanEventQueue`.  Nothing else in the simulator is
+event-driven: per-trial runs advance their clock directly.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable
-
-from repro.errors import SimulationError
-from repro.sim.clock import VirtualClock
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.
-
-    Events order by time, then by insertion sequence for stability.
-    """
-
-    time_ns: float
-    sequence: int
-    action: Callable[[], Any] = field(compare=False)
-    name: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark this event so the loop skips it."""
-        self.cancelled = True
-
-
-class EventLoop:
-    """A priority-queue discrete-event loop over a :class:`VirtualClock`.
-
-    Examples
-    --------
-    >>> loop = EventLoop()
-    >>> fired = []
-    >>> _ = loop.schedule(100, lambda: fired.append("a"))
-    >>> _ = loop.schedule(50, lambda: fired.append("b"))
-    >>> loop.run()
-    >>> fired
-    ['b', 'a']
-    """
-
-    def __init__(self, clock: VirtualClock | None = None) -> None:
-        self.clock = clock if clock is not None else VirtualClock()
-        self._queue: list[Event] = []
-        self._sequence = itertools.count()
-
-    def schedule(self, delay_ns: float, action: Callable[[], Any],
-                 name: str = "") -> Event:
-        """Schedule ``action`` to run ``delay_ns`` after the current time."""
-        if not delay_ns >= 0:
-            raise SimulationError(f"cannot schedule event {delay_ns!r} ns in the past")
-        event = Event(
-            time_ns=self.clock.now() + delay_ns,
-            sequence=next(self._sequence),
-            action=action,
-            name=name,
-        )
-        heapq.heappush(self._queue, event)
-        return event
-
-    def schedule_at(self, time_ns: float, action: Callable[[], Any],
-                    name: str = "") -> Event:
-        """Schedule ``action`` at an absolute virtual time."""
-        if time_ns < self.clock.now():
-            raise SimulationError(
-                f"cannot schedule at {time_ns} ns, clock is at {self.clock.now()} ns"
-            )
-        event = Event(
-            time_ns=time_ns,
-            sequence=next(self._sequence),
-            action=action,
-            name=name,
-        )
-        heapq.heappush(self._queue, event)
-        return event
-
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for event in self._queue if not event.cancelled)
-
-    def step(self) -> Event | None:
-        """Run the next event, advancing the clock to it.
-
-        Returns the event run, or ``None`` if the queue was empty.
-        """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.time_ns)
-            event.action()
-            return event
-        return None
-
-    def run(self, until_ns: float | None = None, max_events: int = 1_000_000) -> int:
-        """Run events until the queue drains or ``until_ns`` is reached.
-
-        Returns the number of events executed.  ``max_events`` guards
-        against runaway self-rescheduling loops.
-        """
-        executed = 0
-        while self._queue and executed < max_events:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until_ns is not None and head.time_ns > until_ns:
-                break
-            if self.step() is not None:
-                executed += 1
-        if executed >= max_events:
-            raise SimulationError(f"event loop exceeded {max_events} events")
-        if until_ns is not None:
-            self.clock.advance_to(until_ns)
-        return executed
 
 
 class LeanEventQueue:
     """A bare-tuple event heap for million-event simulations.
 
-    :class:`EventLoop` pays an :class:`Event` object, dataclass
-    comparisons, and a clock sync per event — fine for network hops,
-    too heavy for the cluster engine, which pushes several events per
-    request across sweeps of 10^6 requests.  This queue stores plain
-    ``(time_ns, seq, kind, payload)`` tuples: ordering is (time,
-    insertion sequence) — the same stable contract as
-    :class:`EventLoop` — and ``seq`` is unique, so ``kind``/``payload``
-    are never compared.  There is no cancellation; consumers mark
-    state on the payload and skip stale entries on pop, which costs
-    nothing on the heap.
+    The cluster engine pushes several events per request across sweeps
+    of 10^6 requests, so the queue stores plain ``(time_ns, seq, kind,
+    payload)`` tuples: ordering is (time, insertion sequence), and
+    ``seq`` is unique, so ``kind``/``payload`` are never compared.
+    There is no cancellation; consumers mark state on the payload and
+    skip stale entries on pop, which costs nothing on the heap.  The
+    queue keeps no clock: each popped ``time_ns`` is the consumer's now.
     """
 
     __slots__ = ("_heap", "_seq")
@@ -153,10 +37,6 @@ class LeanEventQueue:
     def pop(self) -> tuple:
         """The earliest ``(time_ns, seq, kind, payload)`` tuple."""
         return heapq.heappop(self._heap)
-
-    def peek_time_ns(self) -> float | None:
-        """Virtual time of the next event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)

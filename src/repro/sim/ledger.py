@@ -93,11 +93,6 @@ class CostLedger:
             nanos for cat, nanos in self._charges.items() if cat not in excluded
         )
 
-    def merge(self, other: "CostLedger") -> None:
-        """Add every charge from ``other`` into this ledger."""
-        for category, nanos in other._charges.items():
-            self._charges[category] = self._charges.get(category, 0.0) + nanos
-
     def apply_batch(self, items) -> None:
         """Overwrite per-category totals with batch-fold results.
 
@@ -126,13 +121,6 @@ class CostLedger:
     def breakdown(self) -> Mapping[CostCategory, float]:
         """A read-only snapshot of per-category totals."""
         return dict(self._charges)
-
-    def fractions(self) -> dict[CostCategory, float]:
-        """Per-category share of the total (empty dict if total is 0)."""
-        total = self.total()
-        if total <= 0:
-            return {}
-        return {cat: nanos / total for cat, nanos in self._charges.items()}
 
     def dominant(self) -> CostCategory | None:
         """The category with the largest charge, or None when empty."""

@@ -135,10 +135,6 @@ class ImageManifest:
         return sha256_digest(self.canonical_bytes())
 
     @property
-    def total_size(self) -> int:
-        return sum(layer.size for layer in self.layers)
-
-    @property
     def total_chunks(self) -> int:
         return sum(len(layer.chunks) for layer in self.layers)
 

@@ -110,9 +110,3 @@ class SgxEnclavePlatform(TeePlatform):
             noise_sigma=0.030,
             startup_ns=180_000_000.0,      # enclave create+measure ~180 ms
         )
-
-    def epc_pressure(self, working_set_bytes: int) -> float:
-        """Fraction of the working set beyond the EPC (0 when it fits)."""
-        if working_set_bytes <= self.epc_bytes:
-            return 0.0
-        return 1.0 - self.epc_bytes / working_set_bytes

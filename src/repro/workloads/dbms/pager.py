@@ -67,10 +67,6 @@ class Pager:
         self._touch(page_id)
         self._dirty.add(page_id)
 
-    def dirty_count(self) -> int:
-        """Pages awaiting flush."""
-        return len(self._dirty)
-
     def commit(self) -> int:
         """Flush dirty pages (journal write + page write each).
 
@@ -87,10 +83,3 @@ class Pager:
         discarded = len(self._dirty)
         self._dirty.clear()
         return discarded
-
-
-def pages_for_bytes(nbytes: int) -> int:
-    """Pages needed to hold ``nbytes`` of payload."""
-    if nbytes < 0:
-        raise DbmsError(f"negative byte count: {nbytes}")
-    return max(1, (nbytes + PAGE_SIZE - 1) // PAGE_SIZE)

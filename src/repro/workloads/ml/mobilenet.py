@@ -108,7 +108,3 @@ class MobileNetLite:
         probabilities, macs = self.forward(image)
         label = int(np.argmax(probabilities))
         return label, float(probabilities[label]), macs
-
-    def parameter_count(self) -> int:
-        """Total learnable parameters."""
-        return int(sum(np.prod(w.shape) for w in self._weights.values()))

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis import HotPathRule, Severity
-from repro.analysis.core import Analyzer, load_project
+from repro.analysis import HotPathRule, Severity, run_lint
 
 PER_OP_LOOP = """
     def body(ctx, items):
@@ -42,8 +41,7 @@ NESTED_DEF = """
 
 
 def lint(tree):
-    analyzer = Analyzer([HotPathRule()])
-    return analyzer.run(load_project([tree]))
+    return run_lint([tree], rules=[HotPathRule()]).findings
 
 
 class TestHotPathRule:

@@ -7,6 +7,8 @@ fresh (``!cached``), stale-but-acceptable (``!stale``), or reject
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attest import IntelPcs
 from repro.attest.certs import CertificateAuthority
@@ -68,14 +70,12 @@ class TestFreshnessPolicy:
         assert TIGHT.classify(crl, 0.0, 1_500.0) is Staleness.REJECT
 
     def test_crl_boundary_is_strict_less_than_everywhere(self):
-        """now == next_update is stale for is_stale, classify, and the
-        remaining-freshness helper — no consumer can disagree."""
+        """now == next_update is stale for both is_stale and classify —
+        no consumer can disagree."""
         ca = CertificateAuthority("CA", SimRng(2, "ca"))
         crl = ca.crl(now_ns=0.0, validity_ns=1_000.0)
         assert not crl.is_stale(999.999)
         assert crl.is_stale(1_000.0)
-        assert crl.freshness_remaining_ns(1_000.0) == 0.0
-        assert crl.freshness_remaining_ns(999.0) == 1.0
         assert DEFAULT_FRESHNESS.classify(crl, 0.0, 1_000.0) \
             is not Staleness.FRESH
 
@@ -132,21 +132,6 @@ class TestOpenCircuitFreshness:
         assert pcs.request_log[-1].endswith("!cached")
 
 
-class TestEvictExpired:
-    def test_sweep_drops_only_rejected_entries(self):
-        pcs = IntelPcs(SimRng(60, "pcs"), freshness=TIGHT)
-        ctx = make_ctx(1)
-        pcs.fetch_tcb_info(ctx)
-        first_at = pcs.collateral_fetched_at[TCB_ENDPOINT]
-        ctx.charge_network(1_200.0)          # first doc: stale, not rejected
-        pcs.fetch_qe_identity(ctx)
-        assert pcs.evict_expired(first_at + 1_200.0) == 0
-        assert pcs.evict_expired(first_at + 10_000.0) == 1
-        assert TCB_ENDPOINT not in pcs.collateral_cache
-        # the younger QE identity survives the sweep
-        assert "/sgx/certification/v4/qe/identity" in pcs.collateral_cache
-
-
 class TestRequestLog:
     def test_ring_buffer_caps_and_counts_drops(self):
         log = RequestLog(capacity=3)
@@ -187,3 +172,25 @@ class TestRequestLog:
         assert list(log) == ["/crl!stale", "/qe"]
         assert log.dropped == 3
         assert log.clean == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=8),
+       entries=st.lists(st.sampled_from(["/tcb", "/qe", "/tcb!stale",
+                                         "/crl!open"]), max_size=40))
+def test_request_log_matches_list_model(capacity, entries):
+    """Property: past capacity, the log is the model list's tail, and
+    ``dropped``/``clean`` count every append, evicted or not."""
+    log, model = RequestLog(capacity=capacity), []
+    for entry in entries:
+        log.append(entry)
+        model.append(entry)
+        window = model[-capacity:]
+        assert log == window and list(log) == window
+        assert len(log) == len(window)
+        assert log[-1] == window[-1] and log[0] == window[0]
+        assert log[1:] == window[1:] and log[-4:] == window[-4:]
+    assert log.dropped == max(0, len(model) - capacity)
+    assert log.clean == sum("!" not in entry for entry in model)
+    assert repr(log) == (f"RequestLog({model[-capacity:]!r}, "
+                         f"capacity={capacity}, dropped={log.dropped})")

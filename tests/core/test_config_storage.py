@@ -29,31 +29,12 @@ class TestGatewayConfig:
         assert config.platforms() == ["tdx", "sev-snp", "cca", "novm"]
         assert config.default_trials == 10   # the paper's trial count
 
-    def test_entry_for(self):
-        config = default_config()
-        assert config.entry_for("cca").host == "arm-fvp"
-
-    def test_entry_for_unknown(self):
-        with pytest.raises(GatewayError):
-            default_config().entry_for("sgx")
-
     def test_port_collision_rejected(self):
         with pytest.raises(GatewayError):
             GatewayConfig(entries=[
                 PlatformEntry(platform="tdx", host="a", base_port=9100),
                 PlatformEntry(platform="novm", host="b", base_port=9101),
             ])
-
-    def test_json_round_trip(self):
-        config = default_config(seed=7)
-        restored = GatewayConfig.from_json(config.to_json())
-        assert restored.platforms() == config.platforms()
-        assert restored.entry_for("tdx").seed == 7
-        assert restored.load_balancing == config.load_balancing
-
-    def test_bad_json_rejected(self):
-        with pytest.raises(GatewayError):
-            GatewayConfig.from_json("{nope")
 
     def test_zero_trials_rejected(self):
         with pytest.raises(GatewayError):

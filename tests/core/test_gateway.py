@@ -61,13 +61,6 @@ class TestHost:
         normal = host.provision_vm(9101, secure=False)
         assert secure.secure and not normal.secure
 
-    def test_decommission(self):
-        host = Host(name="h", platform=platform_by_name("tdx"))
-        host.provision_vm(9100, secure=True)
-        host.decommission(9100)
-        with pytest.raises(GatewayError):
-            host.vm_for_port(9100)
-
     def test_vms_in_port_order(self):
         host = Host(name="h", platform=platform_by_name("tdx"))
         host.provision_vm(9101, secure=False)
@@ -115,7 +108,6 @@ class TestPool:
         pool.run_on(worker, lambda k: 1, name="x", trial=0)
         assert worker.served == 1
         assert worker.inflight == 0
-        assert pool.total_served() == 1
 
     def test_policy_parse(self):
         assert LoadBalancingPolicy.parse("least-loaded") is \
@@ -404,7 +396,6 @@ class TestPoolFailureAccounting:
         assert worker.served == 0
         assert worker.failed == 1
         assert worker.inflight == 0
-        assert pool.total_failed() == 1
 
     def test_least_loaded_ignores_failed_attempts(self):
         # a worker whose runs keep dying must not look "experienced":

@@ -68,13 +68,13 @@ class TestTrialSpec:
         """Trial K's substream must not move when more trials exist."""
         two = small_plan("tdx", trials=2)
         five = small_plan("tdx", trials=5)
-        seeds_two = {(s.trial, s.secure): s.derived_seed() for s in two}
-        seeds_five = {(s.trial, s.secure): s.derived_seed() for s in five}
+        seeds_two = {(s.trial, s.secure): s.rng().random() for s in two}
+        seeds_five = {(s.trial, s.secure): s.rng().random() for s in five}
         for key, seed in seeds_two.items():
             assert seeds_five[key] == seed
 
     def test_derived_seeds_distinct_across_trials(self):
-        seeds = {faas_spec(trial=t).derived_seed() for t in range(10)}
+        seeds = {faas_spec(trial=t).rng().random() for t in range(10)}
         assert len(seeds) == 10
 
 

@@ -139,26 +139,6 @@ class TestPipe:
         assert pipe.total_written == 3
         assert pipe.total_read == 2
 
-    def test_write_after_close_fails(self):
-        pipe = Pipe()
-        pipe.close_write()
-        with pytest.raises(GuestOsError):
-            pipe.write(b"x")
-
-    def test_broken_pipe(self):
-        pipe = Pipe()
-        pipe.close_read()
-        with pytest.raises(GuestOsError):
-            pipe.write(b"x")
-
-    def test_eof_after_drain(self):
-        pipe = Pipe()
-        pipe.write(b"ab")
-        pipe.close_write()
-        assert not pipe.eof
-        pipe.read(2)
-        assert pipe.eof
-
     def test_negative_read_fails(self):
         with pytest.raises(GuestOsError):
             Pipe().read(-1)

@@ -56,20 +56,6 @@ class TestPerfCounters:
         assert data["vm_transitions"] == 2
         assert PerfCounters(**data).instructions == 7
 
-    def test_cache_miss_rate(self):
-        counters = PerfCounters(cache_references=100, cache_misses=25)
-        assert counters.cache_miss_rate() == 0.25
-
-    def test_cache_miss_rate_no_references(self):
-        assert PerfCounters().cache_miss_rate() == 0.0
-
-    def test_ipc(self):
-        counters = PerfCounters(instructions=200, cycles=100)
-        assert counters.ipc() == 2.0
-
-    def test_ipc_no_cycles(self):
-        assert PerfCounters().ipc() == 0.0
-
 
 class TestMachineFactories:
     def test_tdx_host_shape(self):
@@ -97,10 +83,3 @@ class TestMachineFactories:
     def test_machine_by_name_unknown(self):
         with pytest.raises(KeyError):
             machine_by_name("cray-1")
-
-    def test_reset_counters(self):
-        machine = xeon_gold_5515()
-        machine.cpu.execute(100, machine.counters)
-        assert machine.counters.instructions > 0
-        machine.reset_counters()
-        assert machine.counters.instructions == 0

@@ -6,7 +6,7 @@ from repro.errors import RuntimeModelError, UnknownRuntimeError
 from repro.guestos.context import CostProfile, ExecContext
 from repro.guestos.kernel import GuestKernel
 from repro.hw.machine import xeon_gold_5515
-from repro.runtimes import RUNTIME_NAMES, RuntimeSession, all_runtimes, runtime_by_name
+from repro.runtimes import RUNTIME_NAMES, RuntimeSession, runtime_by_name
 from repro.sim.ledger import CostCategory
 from repro.sim.rng import SimRng
 
@@ -27,29 +27,10 @@ class TestRegistry:
         assert set(RUNTIME_NAMES) == {
             "python", "node", "ruby", "lua", "luajit", "go", "wasm"
         }
-        assert len(all_runtimes()) == 7
 
     def test_unknown_runtime_raises(self):
         with pytest.raises(UnknownRuntimeError):
             runtime_by_name("perl")
-
-    def test_paper_versions_per_platform(self):
-        """§IV-A lists distinct interpreter versions per TEE image."""
-        python = runtime_by_name("python")
-        assert python.version_for("tdx") == "3.12.3"
-        assert python.version_for("sev-snp") == "3.10.12"
-        assert python.version_for("cca") == "3.11.8"
-        node = runtime_by_name("node")
-        assert node.version_for("cca") == "20.12.2"
-
-    def test_version_for_unknown_platform_raises(self):
-        with pytest.raises(RuntimeModelError):
-            runtime_by_name("python").version_for("sgx")
-
-    def test_managed_flag(self):
-        assert runtime_by_name("python").is_managed
-        assert runtime_by_name("ruby").is_managed
-        assert not runtime_by_name("go").is_managed
 
     def test_compiled_runtimes_have_lower_dispatch(self):
         assert runtime_by_name("go").dispatch_factor < 3

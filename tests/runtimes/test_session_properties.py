@@ -141,7 +141,7 @@ def synthetic_model(draw, units):
     ))
     jit = draw(st.booleans())
     return RuntimeModel(
-        name="synthetic", versions={"tdx": "0"}, startup_ns=1_000.0,
+        name="synthetic", startup_ns=1_000.0,
         dispatch_factor=draw(st.sampled_from(FACTORS)),
         alloc_bytes_per_unit=alloc,
         mem_refs_per_unit=draw(st.sampled_from((0.0, 0.8, 6.0))),

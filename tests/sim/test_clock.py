@@ -3,14 +3,7 @@
 import pytest
 
 from repro.errors import ClockError
-from repro.sim.clock import (
-    VirtualClock,
-    ms_to_ns,
-    ns_to_ms,
-    ns_to_seconds,
-    seconds_to_ns,
-    us_to_ns,
-)
+from repro.sim.clock import VirtualClock, ns_to_ms
 
 
 class TestVirtualClock:
@@ -65,11 +58,6 @@ class TestVirtualClock:
         clock.advance_to(500)
         assert clock.now() == 1000.0
 
-    def test_now_seconds(self):
-        clock = VirtualClock()
-        clock.advance(2_500_000_000)
-        assert clock.now_seconds() == pytest.approx(2.5)
-
     def test_repr_mentions_time(self):
         assert "123" in repr(VirtualClock(123))
 
@@ -77,18 +65,3 @@ class TestVirtualClock:
 class TestConversions:
     def test_ns_to_ms(self):
         assert ns_to_ms(2_000_000) == 2.0
-
-    def test_ns_to_seconds(self):
-        assert ns_to_seconds(1_500_000_000) == 1.5
-
-    def test_seconds_to_ns(self):
-        assert seconds_to_ns(0.25) == 250_000_000
-
-    def test_ms_to_ns(self):
-        assert ms_to_ns(3) == 3_000_000
-
-    def test_us_to_ns(self):
-        assert us_to_ns(4) == 4_000
-
-    def test_round_trip(self):
-        assert ns_to_seconds(seconds_to_ns(1.23)) == pytest.approx(1.23)

@@ -1,118 +1,10 @@
-"""Tests for the discrete-event loop."""
+"""Tests for the cluster engine's event queue."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.sim.clock import VirtualClock
-from repro.sim.events import EventLoop
-
-
-class TestScheduling:
-    def test_events_run_in_time_order(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(100, lambda: fired.append("late"))
-        loop.schedule(50, lambda: fired.append("early"))
-        loop.run()
-        assert fired == ["early", "late"]
-
-    def test_ties_run_in_insertion_order(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(10, lambda: fired.append("first"))
-        loop.schedule(10, lambda: fired.append("second"))
-        loop.run()
-        assert fired == ["first", "second"]
-
-    def test_clock_advances_to_event_time(self):
-        loop = EventLoop()
-        loop.schedule(123, lambda: None)
-        loop.run()
-        assert loop.clock.now() == 123.0
-
-    def test_schedule_rejects_negative_delay(self):
-        with pytest.raises(SimulationError):
-            EventLoop().schedule(-1, lambda: None)
-
-    def test_schedule_at_absolute_time(self):
-        loop = EventLoop(VirtualClock(100))
-        fired = []
-        loop.schedule_at(150, lambda: fired.append(True))
-        loop.run()
-        assert fired == [True]
-        assert loop.clock.now() == 150.0
-
-    def test_schedule_at_rejects_past(self):
-        loop = EventLoop(VirtualClock(100))
-        with pytest.raises(SimulationError):
-            loop.schedule_at(50, lambda: None)
-
-    def test_run_returns_event_count(self):
-        loop = EventLoop()
-        for i in range(5):
-            loop.schedule(i, lambda: None)
-        assert loop.run() == 5
-
-
-class TestCancellation:
-    def test_cancelled_events_skip(self):
-        loop = EventLoop()
-        fired = []
-        event = loop.schedule(10, lambda: fired.append("a"))
-        loop.schedule(20, lambda: fired.append("b"))
-        event.cancel()
-        loop.run()
-        assert fired == ["b"]
-
-    def test_pending_ignores_cancelled(self):
-        loop = EventLoop()
-        event = loop.schedule(10, lambda: None)
-        loop.schedule(20, lambda: None)
-        event.cancel()
-        assert loop.pending() == 1
-
-
-class TestRunBounds:
-    def test_run_until_stops_early(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule(10, lambda: fired.append("in"))
-        loop.schedule(100, lambda: fired.append("out"))
-        loop.run(until_ns=50)
-        assert fired == ["in"]
-        assert loop.clock.now() == 50.0
-        assert loop.pending() == 1
-
-    def test_self_rescheduling_hits_max_events(self):
-        loop = EventLoop()
-
-        def reschedule():
-            loop.schedule(1, reschedule)
-
-        loop.schedule(1, reschedule)
-        with pytest.raises(SimulationError):
-            loop.run(max_events=100)
-
-    def test_step_empty_returns_none(self):
-        assert EventLoop().step() is None
-
-    def test_chained_events_see_advanced_clock(self):
-        loop = EventLoop()
-        times = []
-
-        def outer():
-            times.append(loop.clock.now())
-            loop.schedule(5, lambda: times.append(loop.clock.now()))
-
-        loop.schedule(10, outer)
-        loop.run()
-        assert times == [10.0, 15.0]
+from repro.sim.events import LeanEventQueue
 
 
 class TestLeanEventQueue:
     def test_pops_in_time_then_insertion_order(self):
-        from repro.sim.events import LeanEventQueue
-
         queue = LeanEventQueue()
         queue.push(100.0, 1, "late")
         queue.push(50.0, 2, "early")
@@ -127,20 +19,14 @@ class TestLeanEventQueue:
     def test_payloads_never_compared(self):
         # ties break on the unique sequence number, so unorderable
         # payloads (plain objects) are safe at identical timestamps
-        from repro.sim.events import LeanEventQueue
-
         queue = LeanEventQueue()
         queue.push(1.0, 0, object())
         queue.push(1.0, 0, object())
         queue.pop()
         queue.pop()
 
-    def test_peek_len_and_truthiness(self):
-        from repro.sim.events import LeanEventQueue
-
+    def test_len_and_truthiness(self):
         queue = LeanEventQueue()
-        assert queue.peek_time_ns() is None
         assert not queue and len(queue) == 0
         queue.push(7.0, 0, None)
-        assert queue.peek_time_ns() == 7.0
         assert queue and len(queue) == 1

@@ -98,7 +98,8 @@ class TestPullStrategies:
         assert report.signature_verified
         assert report.chunks_fetched == bundle.manifest.total_chunks
         assert report.chunk_faults == 0
-        assert report.bytes_pulled == bundle.manifest.total_size
+        assert report.bytes_pulled == sum(
+            layer.size for layer in bundle.manifest.layers)
         assert fs.total_files() == bundle.manifest.total_chunks
         # the registry log agrees: manifest + every chunk, no errors
         assert registry.clean_log_entries() == \

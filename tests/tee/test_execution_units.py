@@ -12,7 +12,6 @@ from repro.tee import (
     SgxEnclavePlatform,
     platform_by_name,
 )
-from repro.tee.sgx import EPC_BYTES
 from repro.workloads.faas import workload_by_name
 
 
@@ -49,11 +48,6 @@ class TestSgxPlatform:
     def test_tiny_epc_rejected(self):
         with pytest.raises(TeeError):
             SgxEnclavePlatform(epc_bytes=1024)
-
-    def test_epc_pressure(self):
-        platform = SgxEnclavePlatform()
-        assert platform.epc_pressure(EPC_BYTES // 2) == 0.0
-        assert platform.epc_pressure(2 * EPC_BYTES) == pytest.approx(0.5)
 
     def test_every_syscall_pays_an_ocall(self):
         """The first-generation tax: regular syscalls exit the enclave."""

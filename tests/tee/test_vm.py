@@ -105,7 +105,7 @@ class TestRunResults:
 
     def test_ledger_breakdown_present(self):
         vm = booted_vm()
-        result = vm.run(lambda k: k.sys_brk(1 << 20))
+        result = vm.run(lambda k: k.ctx.mem_alloc(1 << 20))
         assert result.ledger.get(CostCategory.MEM_ALLOC) > 0
 
     def test_to_dict_is_json_shaped(self):

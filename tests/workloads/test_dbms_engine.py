@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import DbmsError, SqlExecutionError
 from repro.workloads.dbms.btree import BPlusTree
 from repro.workloads.dbms.engine import Database, KernelCostHooks
-from repro.workloads.dbms.pager import Pager, pages_for_bytes
+from repro.workloads.dbms.pager import Pager
 from repro.workloads.dbms.speedtest import run_speedtest
 
 
@@ -143,9 +143,8 @@ class TestPager:
         pager = Pager()
         pager.write(1)
         pager.write(2)
-        assert pager.dirty_count() == 2
         assert pager.commit() == 2
-        assert pager.dirty_count() == 0
+        assert pager.commit() == 0
         assert pager.stats.writes == 2
         assert pager.stats.journal_writes == 2
 
@@ -154,11 +153,6 @@ class TestPager:
         pager.write(1)
         assert pager.rollback() == 1
         assert pager.stats.writes == 0
-
-    def test_pages_for_bytes(self):
-        assert pages_for_bytes(0) == 1
-        assert pages_for_bytes(4096) == 1
-        assert pages_for_bytes(4097) == 2
 
 
 class TestQueries:
