@@ -267,6 +267,7 @@ DEFAULT_TAINT_SPEC = TaintSpec(
         "attr:hexdigest",
         "attr:digest",
         "attr:sign",
+        "qual:repro.attest.crypto.derived_signature",
         "attr:verify",
         "attr:seal",
         "attr:encrypt",

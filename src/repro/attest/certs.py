@@ -12,7 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.attest.crypto import RsaKeyPair, RsaPublicKey, derived_keypair
+from repro.attest.crypto import (
+    RsaKeyPair,
+    RsaPublicKey,
+    derived_keypair,
+    derived_signature,
+)
 from repro.errors import CertificateError, CrlError
 from repro.sim.rng import SimRng
 
@@ -143,7 +148,7 @@ class CertificateAuthority:
             not_after=self.DEFAULT_VALIDITY_NS,
             extensions=extensions if extensions is not None else {},
         )
-        signature = signer.sign(unsigned.tbs_bytes())
+        signature = derived_signature(signer, unsigned.tbs_bytes())
         return Certificate(
             subject=unsigned.subject,
             issuer=unsigned.issuer,

@@ -24,7 +24,7 @@ from repro.attest.certs import (
     CertificateAuthority,
     CertificateRevocationList,
 )
-from repro.attest.crypto import RsaKeyPair, derived_keypair
+from repro.attest.crypto import RsaKeyPair, derived_keypair, derived_signature
 from repro.errors import AttestationError, CollateralTimeoutError
 from repro.guestos.context import ExecContext
 from repro.hw.nic import NicModel, wan_path
@@ -318,7 +318,8 @@ class IntelPcs:
                 fmspc=unsigned.fmspc,
                 tcb_svn=unsigned.tcb_svn,
                 status=unsigned.status,
-                signature=self._tcb_signing_key.sign(unsigned.payload()),
+                signature=derived_signature(self._tcb_signing_key,
+                                            unsigned.payload()),
             )
 
         return self._fetch(ctx, "/sgx/certification/v4/tcb", 6_000, build)
@@ -332,7 +333,8 @@ class IntelPcs:
             return QeIdentity(
                 mrsigner=unsigned.mrsigner,
                 isv_svn=unsigned.isv_svn,
-                signature=self._tcb_signing_key.sign(unsigned.payload()),
+                signature=derived_signature(self._tcb_signing_key,
+                                            unsigned.payload()),
             )
 
         return self._fetch(ctx, "/sgx/certification/v4/qe/identity", 3_000,

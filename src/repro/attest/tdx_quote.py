@@ -24,6 +24,7 @@ from repro.attest.crypto import (
     SIGN_COST_NS,
     RsaKeyPair,
     derived_keypair,
+    derived_signature,
 )
 from repro.attest.pcs import IntelPcs
 from repro.errors import AttestationError
@@ -91,7 +92,7 @@ class QuotingEnclave:
             not_after=self.pck_cert.not_after,
             extensions={"role": "attestation-key"},
         )
-        signature = self._pck_key.sign(self.ak_cert.tbs_bytes())
+        signature = derived_signature(self._pck_key, self.ak_cert.tbs_bytes())
         self.ak_cert = Certificate(
             subject=self.ak_cert.subject,
             issuer=self.ak_cert.issuer,

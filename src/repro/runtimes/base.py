@@ -327,12 +327,40 @@ class SessionBatch:
         self.session._record_calls(self.batch, count, units, working_set_bytes)
         return self
 
-    def allocate(self, nbytes: int) -> "SessionBatch":
+    def allocate(self, nbytes: int, count: int = 1,
+                 release: int = 0) -> "SessionBatch":
+        """Record ``count`` rounds of ``allocate(nbytes)``, each followed
+        by ``release(release)``, a run at a time.
+
+        A round that does not collect records just its allocation, so
+        the rounds up to the next GC are one run: the heap grows by
+        ``nbytes - release`` and the GC debt by ``nbytes`` per round.
+        A release larger than the allocation may clamp the heap at
+        zero, so such rounds are recorded one at a time.
+        """
         if nbytes < 0:
             raise RuntimeModelError(f"negative allocation: {nbytes}")
-        ops: list = []
-        self.session._allocate_ops(nbytes, transient=False, ops=ops)
-        self.batch.add_seq(ops)
+        if release < 0:
+            raise RuntimeModelError(f"negative release: {release}")
+        if count < 0:
+            raise RuntimeModelError(f"negative call count: {count}")
+        session = self.session
+        threshold = session.model.gc_threshold_bytes
+        while count:
+            gc_runs = session.gc_runs
+            ops: list = []
+            session._allocate_ops(nbytes, transient=False, ops=ops)
+            session.heap_bytes = max(0, session.heap_bytes - release)
+            repeats = 0
+            if release <= nbytes and session.gc_runs == gc_runs:
+                # the next rounds repeat while their debt stays below
+                # the threshold
+                repeats = count - 1 if nbytes == 0 else min(
+                    count - 1, (threshold - session.gc_debt - 1) // nbytes)
+            self.batch.add_seq(ops, 1 + repeats)
+            session.heap_bytes += repeats * (nbytes - release)
+            session.gc_debt += repeats * nbytes
+            count -= 1 + repeats
         return self
 
     def release(self, nbytes: int) -> "SessionBatch":

@@ -96,19 +96,20 @@ def string_concat(session: RuntimeSession, args: dict[str, Any]) -> dict[str, in
     """Build a large string by repeated concatenation."""
     rounds = int(args["rounds"])
     piece = "confidential-computing-"
-    parts = []
     total_len = 0
     batch = session.batch()
-    for i in range(rounds):
-        fragment = f"{piece}{i}"
-        parts.append(fragment)
-        total_len += len(fragment)
-        batch.allocate(len(fragment) * 2)   # str object + copy
-        batch.release(len(fragment))
+    start = 0
+    while start < rounds:
+        # fragment f"{piece}{i}" has one length per decade of i
+        end = min(rounds, 10 * start or 10)
+        size = len(piece) + len(str(start))
+        total_len += (end - start) * size
+        # str object + copy, then the copy is freed
+        batch.allocate(size * 2, count=end - start, release=size)
+        start = end
     batch.commit()
-    result = "".join(parts)
     session.compute(total_len // 4, working_set_bytes=total_len)
-    return {"rounds": rounds, "length": len(result)}
+    return {"rounds": rounds, "length": total_len}
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)

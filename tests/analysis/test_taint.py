@@ -129,6 +129,24 @@ def test_sanitizer_cuts_the_flow(make_tree):
     assert findings == []
 
 
+def test_memoized_signature_is_clean_private_exponent_is_not(make_tree):
+    findings = _taint_findings(make_tree, {"memo.py": """
+        from repro.attest.crypto import derived_keypair, derived_signature
+
+
+        def journals_signature(rng, store, body):
+            pair = derived_keypair(rng, "ok")
+            store.put({"sig": derived_signature(pair, body)})
+
+
+        def journals_private(rng, store):
+            pair = derived_keypair(rng, "bad")
+            store.put({"d": pair.d})
+    """})
+    assert [(f.rule, f.symbol) for f in findings] == [
+        ("taint/journal", "journals_private")]
+
+
 def test_field_sensitivity_public_clean_d_tainted(make_tree):
     findings = _taint_findings(make_tree, {"fields.py": """
         import warnings

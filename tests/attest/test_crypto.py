@@ -13,8 +13,11 @@ from repro.attest.crypto import (
     _is_probable_prime,
     _generate_prime,
     _pad_digest,
+    _primes_below,
+    derived_signature,
     generate_keypair,
 )
+from repro.core.runner import BODY_CACHE_SIZE
 from repro.errors import AttestationError
 from repro.sim.rng import SimRng
 
@@ -48,6 +51,88 @@ class TestPrimality:
     def test_tiny_prime_size_rejected(self):
         with pytest.raises(AttestationError):
             _generate_prime(4, SimRng(1))
+
+
+def _oracle_is_probable_prime(n: int, rng: SimRng, rounds: int = 24) -> bool:
+    """The Miller–Rabin test as it stood before the factor prefilter."""
+    if n < 2:
+        return False
+    if n == 2:
+        return True
+    if n % 2 == 0:
+        return False
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+              61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113):
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = rng.randint(2, n - 2)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = pow(x, 2, n)
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_SIEVED = _primes_below(1 << 16)
+#: Primes the prefilter divides out: past the small-prime loop, to 2^14.
+_FACTOR_PRIMES = [p for p in _SIEVED if 113 < p <= 1 << 14]
+_LARGE_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1,
+                 1_000_000_007, 998_244_353)
+#: Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number whenever all
+#: three factors are prime; many factors fall in the prefilter's range.
+_CARMICHAELS = tuple(
+    (6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 2000)
+    if all(_oracle_is_probable_prime(f, SimRng(0))
+           for f in (6 * k + 1, 12 * k + 1, 18 * k + 1))
+) + (561, 1105, 1729, 2465, 2821, 6601, 8911, 314821, 410041)
+#: Strong pseudoprimes to base 2 (and, the last three, to many bases).
+_STRONG_PSEUDOPRIMES = (
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633,
+    65281, 74665, 80581, 85489, 88357, 90751, 3215031751,
+    3825123056546413051, 318665857834031151167461)
+
+#: p·q with p, q in 127..2^14 where round 1 passes for 3-13% of the
+#: witnesses, often only at the last squaring: the mod-g round must
+#: square exactly as often as the full one.
+_LIAR_RICH = (49141, 81317, 88357, 104653, 118301, 226801, 250717, 302177)
+
+_candidates = st.one_of(
+    st.sampled_from(_LIAR_RICH),
+    st.sampled_from(_SIEVED[-200:] + list(_LARGE_PRIMES)),
+    st.builds(lambda p, m: p * m, st.sampled_from(_FACTOR_PRIMES),
+              st.integers(2, 1 << 80)),
+    st.sampled_from(_FACTOR_PRIMES + list(_LARGE_PRIMES)).map(
+        lambda p: p * p),
+    st.sampled_from(_CARMICHAELS),
+    st.sampled_from(_STRONG_PSEUDOPRIMES),
+    st.integers(0, 1 << 14),
+)
+
+
+class TestPrimalityPrefilter:
+    @settings(max_examples=400, deadline=None)
+    @given(n=_candidates, seed=st.integers(0, 1000),
+           rounds=st.sampled_from((0, 1, 2, 24)))
+    def test_same_verdict_and_draws_as_the_plain_test(self, n, seed,
+                                                      rounds):
+        expected_rng, rng = SimRng(seed, "mr"), SimRng(seed, "mr")
+        expected = _oracle_is_probable_prime(n, expected_rng, rounds)
+        assert _is_probable_prime(n, rng, rounds) == expected
+        assert rng.raw_random().getstate() == \
+            expected_rng.raw_random().getstate()
 
 
 class TestKeyGeneration:
@@ -148,6 +233,28 @@ PIN_FINGERPRINT = "4d81db7442e2f8ef9a87eff3"
 PIN_SIGNATURES_SHA256 = (
     "60ef25575fb0bba34f9e9ebe426b8d3b3b9079993ba6b8f4be425b42ceac8caa")
 PIN_MESSAGES = tuple(f"pin-message-{i}".encode() for i in range(32))
+
+
+class TestDerivedSignature:
+    @pytest.mark.parametrize("bits", [768, 769, 1024, 1025])
+    def test_equals_sign_on_miss_and_hit(self, bits):
+        pair = _sized_keypair(bits)
+        for message in (b"", b"tbs", *PIN_MESSAGES[:4]):
+            expected = pair.sign(message)
+            assert derived_signature(pair, message) == expected
+            assert derived_signature(pair, message) == expected
+
+    def test_equal_keys_share_an_entry(self):
+        pair = _sized_keypair(1024)
+        message = b"static document"
+        derived_signature(pair, message)
+        hits = derived_signature.cache_info().hits
+        assert derived_signature(dataclasses.replace(pair), message) == \
+            pair.sign(message)
+        assert derived_signature.cache_info().hits == hits + 1
+
+    def test_memo_bound_is_the_body_cache_bound(self):
+        assert derived_signature.cache_info().maxsize == BODY_CACHE_SIZE
 
 
 class TestCrtSigning:

@@ -1,5 +1,8 @@
 """The fig5-extension experiment: cache tiers, reconciliation, determinism."""
 
+from collections import Counter
+
+from repro.attest.crypto import RsaKeyPair, RsaPublicKey, derived_signature
 from repro.core.runner import TrialRunner
 from repro.experiments import run_fig5_service
 
@@ -40,3 +43,35 @@ class TestFig5Service:
             "attest.service.tdx.service.host-a.resumed"] > 0
         histograms = result.metrics["histograms"]
         assert "attest.service.tdx.verify_ns.origin" in histograms
+
+
+class TestSigningCounts:
+    def test_static_documents_signed_once_per_process(self, monkeypatch):
+        """Exact count of ``RsaKeyPair.sign`` calls per
+        ``run_fig5_service(seed=0, trials=6)``.  Signing every document
+        on every call made 126: each of the 12 trials rebuilds its
+        infrastructure and re-signs the same 10 static documents (CA
+        certificates, the QE AK certificate, TCB info, QE identity).
+        Memoized per process, they cost 10 signatures in a fresh
+        process and none on a repeat run.  Verification is the check
+        and stays per call."""
+        calls = Counter()
+        sign, verify = RsaKeyPair.sign, RsaPublicKey.verify
+
+        def counting_sign(pair, message):
+            calls["sign"] += 1
+            return sign(pair, message)
+
+        def counting_verify(key, message, signature):
+            calls["verify"] += 1
+            return verify(key, message, signature)
+
+        monkeypatch.setattr(RsaKeyPair, "sign", counting_sign)
+        monkeypatch.setattr(RsaPublicKey, "verify", counting_verify)
+        derived_signature.cache_clear()   # the memo of a fresh process
+        first = run_fig5_service(seed=0, trials=6)
+        assert calls == {"sign": 76, "verify": 396}
+        calls.clear()
+        repeat = run_fig5_service(seed=0, trials=6)
+        assert calls == {"sign": 66, "verify": 396}
+        assert result_key(repeat) == result_key(first)

@@ -1,5 +1,8 @@
 """Property-based invariants of runtime sessions."""
 
+import dataclasses
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro.guestos.context import CostProfile, ExecContext
@@ -261,3 +264,70 @@ def test_run_recording_equals_per_call_loop(case):
         entries = list(staged.batch.entries)
         charged = staged.commit()
     assert observed(session, charged, entries) == expected
+
+
+@st.composite
+def allocate_runs(draw):
+    """A session in a generated starting state, plus ``count`` rounds of
+    ``allocate(nbytes)`` each followed by ``release(release)``."""
+    nbytes = draw(st.one_of(st.just(0), st.integers(1, 1 << 16)))
+    release = draw(st.one_of(st.just(0), st.just(nbytes),
+                             st.integers(0, 1 << 17)))   # may exceed nbytes
+    threshold = draw(st.one_of(
+        st.integers(1, 1 << 22),
+        st.integers(1, max(1, nbytes)),                  # every round collects
+        st.integers(1, 40).map(lambda k: max(1, k * nbytes)),
+    ))
+    model = dataclasses.replace(
+        runtime_by_name(draw(st.sampled_from(RUNTIME_NAMES))),
+        gc_threshold_bytes=threshold,
+        gc_scan_fraction=draw(st.sampled_from((0.0, 0.2, 0.35))))
+    # start where the next GC may fall on the k-th round exactly
+    gc_debt = draw(st.one_of(
+        st.integers(0, threshold - 1),
+        st.integers(1, 40).map(
+            lambda k: min(threshold - 1, max(0, threshold - k * nbytes))),
+    ))
+    return dict(
+        model=model, nbytes=nbytes, release=release,
+        count=draw(st.integers(0, 300)),
+        noise=draw(st.sampled_from((0.0, 0.03))),
+        seed=draw(st.integers(0, 100)),
+        state=dict(gc_debt=gc_debt, heap_bytes=draw(st.one_of(
+            st.integers(0, 64), st.integers(0, 1 << 22)))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=allocate_runs())
+def test_allocate_runs_equal_per_round_loop(case):
+    """Property: SessionBatch.allocate(count=, release=) builds the same
+    OpBatch, ledger, clock, counters and session state as recording
+    each allocate/release round on its own, and expands at most one
+    run per GC-free stretch plus each collecting round."""
+    nbytes, release, count = case["nbytes"], case["release"], case["count"]
+    expected_session = run_session(case)
+    batch = expected_session.ctx.batch()
+    for _ in range(count):
+        ops: list = []
+        expected_session._allocate_ops(nbytes, transient=False, ops=ops)
+        expected_session.heap_bytes = max(
+            0, expected_session.heap_bytes - release)
+        batch.add_seq(ops)
+    entries = list(batch.entries)
+    expected = observed(expected_session,
+                        expected_session.ctx.run_batch(batch), entries)
+
+    session = run_session(case)
+    gc_runs = session.gc_runs
+    with mock.patch.object(RuntimeSession, "_allocate_ops", autospec=True,
+                           side_effect=RuntimeSession._allocate_ops) as spy:
+        staged = session.batch().allocate(nbytes, count=count,
+                                          release=release)
+    entries = list(staged.batch.entries)
+    assert observed(session, staged.commit(), entries) == expected
+    collections = session.gc_runs - gc_runs
+    if release <= nbytes:
+        assert spy.call_count <= min(count, 1 + 2 * collections)
+    else:
+        assert spy.call_count == count

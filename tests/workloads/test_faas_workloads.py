@@ -419,3 +419,27 @@ class TestRunRecording:
                            for runtime in RUNTIME_NAMES}
         for runtime in RUNTIME_NAMES:
             assert max(per_trial["htmlrender", runtime]) <= 3, runtime
+
+    def test_default_stringconcat_records_one_call_per_decade(
+            self, monkeypatch):
+        """Exact count of allocation expansions (``_allocate_ops``) per
+        default stringconcat trial on TDX: one per decade of the 2,500
+        rounds, where per-round recording made 2,500, plus one for the
+        final compute's churn.  A GC would add the collecting round
+        and the run after it; no default trial collects."""
+        calls = []
+        expand = RuntimeSession._allocate_ops
+
+        def counting(session, nbytes, transient, ops):
+            gc_runs = session.gc_runs
+            expand(session, nbytes, transient, ops)
+            calls.append((transient, session.gc_runs - gc_runs))
+
+        monkeypatch.setattr(RuntimeSession, "_allocate_ops", counting)
+        plan = TrialPlan.matrix(kind="faas", platforms=("tdx",),
+                                workloads=("stringconcat",),
+                                runtimes=RUNTIME_NAMES, trials=1, seed=0)
+        for spec in plan:
+            calls.clear()
+            assert not execute_trial(spec).degraded
+            assert calls == [(False, 0)] * 4 + [(True, 0)], spec.runtime
