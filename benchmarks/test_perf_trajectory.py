@@ -267,12 +267,14 @@ def test_supply_pull_trajectory(capsys):
                 "platform": "tdx",
             },
             "chunks_per_boot": CHUNKS_PER_BOOT,
-            "why": ("re-baselined when sealing became one whole-buffer "
-                    "XOR: the lazy/eager ratio fell from the 10.05x "
-                    "committed over the per-byte XOR loop because eager "
-                    "pull no longer pays that loop on all 48 chunks, not "
-                    "because lazy pull touches more; chunks_per_boot "
-                    "gates what lazy saves exactly"),
+            "why": ("re-baselined when pulls began to memoize each "
+                    "unsealed chunk per process: the lazy/eager ratio "
+                    "fell from the 5.81x committed because repeated "
+                    "eager boots no longer derive the keystream for all "
+                    "48 chunks, not because lazy pull touches more; "
+                    "every boot still fetches, digest-checks and unpacks "
+                    "its chunks, and chunks_per_boot gates what lazy "
+                    "saves exactly"),
             "strategies": {
                 "eager_boots_per_s": round(eager_rate, 1),
                 "lazy_boots_per_s": round(lazy_rate, 1),

@@ -10,7 +10,10 @@ TDX/SNP verifiers need.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from repro.attest.crypto import (
     RsaKeyPair,
@@ -37,12 +40,18 @@ class Certificate:
     public_key: RsaPublicKey
     not_before: float            # virtual ns
     not_after: float             # virtual ns
-    extensions: dict = field(default_factory=dict)
+    extensions: Mapping[str, object] = field(default_factory=dict)
     signature: bytes = b""
 
-    def tbs_payload(self) -> dict:
-        """The to-be-signed content."""
-        return {
+    def __post_init__(self) -> None:
+        # frozen like every other field, so the bytes encoded below
+        # never outlive a change to what they encode
+        object.__setattr__(self, "extensions",
+                           MappingProxyType(dict(self.extensions)))
+
+    @cached_property
+    def _tbs(self) -> bytes:
+        return _canonical({
             "subject": self.subject,
             "issuer": self.issuer,
             "serial": self.serial,
@@ -50,11 +59,13 @@ class Certificate:
             "key_e": self.public_key.e,
             "not_before": self.not_before,
             "not_after": self.not_after,
-            "extensions": {k: str(v) for k, v in sorted(self.extensions.items())},
-        }
+            "extensions": {k: str(v)
+                           for k, v in sorted(self.extensions.items())},
+        })
 
     def tbs_bytes(self) -> bytes:
-        return _canonical(self.tbs_payload())
+        """The to-be-signed content, encoded once per certificate."""
+        return self._tbs
 
     def is_self_signed(self) -> bool:
         return self.subject == self.issuer

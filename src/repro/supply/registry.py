@@ -19,6 +19,13 @@ the guest filesystem):
   workload touches them.  Encrypted layers decrypt per chunk — the
   offset-addressable keystream in :mod:`repro.supply.image` exists
   exactly so a fault never has to materialize its neighbours.
+
+Unsealing goes through :func:`~repro.supply.image.keystream_xor`,
+which memoizes each chunk's plaintext per process; only that host-side
+keystream derivation is shared.  Every boot still fetches each chunk,
+checks its digest against the manifest, needs its KBS-released key,
+pays the ``SEAL_COST_PER_BYTE_NS`` charge and unpacks, so ledgers and
+request logs are what they were without the memo.
 """
 
 from __future__ import annotations

@@ -105,6 +105,22 @@ class TestChainVerification:
                 now_ns=leaf.not_after * 2,
             )
 
+    def test_extensions_frozen_at_issue(self, pki):
+        """The encoded to-be-signed bytes are kept per certificate, so
+        nothing may change what they encode: the extensions cannot be
+        mutated, and the dict they were issued from is copied."""
+        root, intermediate, _, _ = pki
+        issued = {"fmspc": "AABB"}
+        leaf = intermediate.issue("Ext", generate_keypair(
+            SimRng(14, "ext-leaf")).public, extensions=issued)
+        chain = [leaf, intermediate.certificate]
+        verify_chain(chain, root.certificate)
+        with pytest.raises(TypeError):
+            leaf.extensions["fmspc"] = "CCDD"
+        issued["fmspc"] = "CCDD"
+        assert leaf.extensions == {"fmspc": "AABB"}
+        verify_chain(chain, root.certificate)
+
     def test_non_self_signed_root_rejected(self, pki):
         root, intermediate, leaf, _ = pki
         # presenting the intermediate as a "root" must fail

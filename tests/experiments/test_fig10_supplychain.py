@@ -1,11 +1,13 @@
 """Tests for the fig10 supply-chain experiment harness."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core.runner import TrialRunner
 from repro.experiments import run_fig10
+from repro.supply import registry
 
 CELLS = ("eager-secure", "eager-normal", "lazy-secure", "lazy-normal")
 QUICK = dict(trials=1, vms=2, accesses=4)
@@ -73,3 +75,40 @@ class TestFig10:
         parallel = run_fig10(runner=TrialRunner(jobs=2), **QUICK)
         assert (json.dumps(serial.metrics, sort_keys=True)
                 == json.dumps(parallel.metrics, sort_keys=True))
+
+
+def result_key(result):
+    return (result.rows, result.reconciled, result.resumed,
+            result.chunk_faults, result.bytes_pulled, result.metrics)
+
+
+class TestUnsealCounts:
+    def test_each_sealed_chunk_unsealed_once_per_process(self,
+                                                         monkeypatch):
+        """Exact counts per ``run_fig10(seed=0, trials=1)``.  Each of
+        the 97 unseals of encrypted chunks derived its keystream when
+        unsealing was not memoized, although they cover only 20
+        distinct (chunk, key, offset) inputs: every boot rebuilds its
+        registry, KBS and attestor.  Memoized per process, a fresh
+        process derives 20 keystreams and a repeat run none.  The
+        unseals themselves, with their digest checks, key releases and
+        charges, stay per boot, and each goes through the memo."""
+        unseals = Counter()
+        unseal = registry._PullStrategy._unseal
+
+        def counting_unseal(strategy, data, key, offset, ctx, report):
+            unseals["encrypted"] += key is not None
+            return unseal(strategy, data, key, offset, ctx, report)
+
+        monkeypatch.setattr(registry._PullStrategy, "_unseal",
+                            counting_unseal)
+        memo = registry.keystream_xor
+        memo.cache_clear()      # the memo of a fresh process
+        first = run_fig10(seed=0, trials=1)
+        info = memo.cache_info()
+        assert (unseals["encrypted"], info.misses, info.hits) == (97, 20, 77)
+        repeat = run_fig10(seed=0, trials=1)
+        info = memo.cache_info()
+        assert (unseals["encrypted"], info.misses, info.hits) == (
+            2 * 97, 20, 77 + 97)
+        assert result_key(repeat) == result_key(first)

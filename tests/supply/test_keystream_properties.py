@@ -5,29 +5,49 @@ byte at a time, so any change to the whole-buffer XOR or the block
 generator that moves a single sealed byte fails here.  One encrypted
 bundle is also pinned by digest, so a keystream change shows up even
 where no golden plan builds an image.
+
+``keystream_xor`` memoizes unsealed chunks per process.  The memo must
+return what the unmemoized kernel would, and must not move the trust
+boundary: with the memo warm, a tampered chunk still fails its digest
+check before it is unsealed or unpacked, and a denied key release
+unseals nothing.
 """
 
+import contextlib
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.attest import LaunchAttestor
 from repro.attest.crypto import derived_keypair
-from repro.errors import SupplyChainError
+from repro.errors import (
+    ImageVerificationError,
+    KeyReleaseDeniedError,
+    SupplyChainError,
+)
 from repro.guestos.context import ExecContext
 from repro.guestos.filesystem import InMemoryFileSystem
 from repro.hw.machine import xeon_gold_5515
 from repro.sim.rng import SimRng
 from repro.supply import (
     CHUNK_BYTES,
+    EagerPull,
+    KeyBrokerService,
+    LaunchProvisioner,
     LazyPull,
+    PullReport,
     Registry,
     build_image,
     keystream_xor,
+    sha256_digest,
     sign_image,
 )
+from repro.supply import image as image_module
+from repro.supply import registry as registry_module
 
 BLOCK = 32
 
@@ -133,3 +153,124 @@ def test_chunk_faults_count_distinct_cold_chunks(touches):
     layers = len(_BUNDLE.manifest.layers)
     assert image.report.chunks_fetched == layers + len(cold)
     assert registry.clean_log_entries() == 1 + layers + len(cold)
+
+
+def _ctx(seed: int = 1) -> ExecContext:
+    return ExecContext(machine=xeon_gold_5515(), rng=SimRng(seed, "unseal"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=payloads, key=keys, other_key=keys, offset=aligned_offsets,
+       other_offset=aligned_offsets)
+@example(data=_sized(CHUNK_BYTES, 3), key=b"a" * 32, other_key=b"b" * 32,
+         offset=CHUNK_BYTES, other_offset=2 * CHUNK_BYTES)
+def test_memoized_unseal_matches_keystream(data, key, other_key, offset,
+                                           other_offset):
+    """One ciphertext under two keys, and one key at two offsets: cold
+    and from the memo, the plaintext is what the unmemoized kernel
+    gives and the charge is the same."""
+    strategy = EagerPull(Registry())
+    keystream_xor.cache_clear()
+    for unseal_key, unseal_offset in ((key, offset), (other_key, offset),
+                                      (key, other_offset)):
+        expected = image_module._seal(data, unseal_key, unseal_offset)
+        ledgers = []
+        for _ in range(2):          # cold, then from the memo
+            ctx = _ctx()
+            assert strategy._unseal(data, unseal_key, unseal_offset, ctx,
+                                    PullReport()) == expected
+            ledgers.append(ctx.ledger.total())
+        assert ledgers[0] == ledgers[1]
+
+
+@contextlib.contextmanager
+def _recording():
+    """Record the digest of every unsealed chunk and every unpack."""
+    unsealed, unpacked = [], set()
+    unseal, unpack = (registry_module._PullStrategy._unseal,
+                      registry_module._PullStrategy._unpack)
+
+    def recording_unseal(strategy, data, key, offset, ctx, report):
+        unsealed.append(sha256_digest(data))
+        return unseal(strategy, data, key, offset, ctx, report)
+
+    def recording_unpack(strategy, fs, manifest, layer, chunk, data, ctx,
+                         report):
+        unpacked.add((layer.index, chunk.offset))
+        return unpack(strategy, fs, manifest, layer, chunk, data, ctx,
+                      report)
+
+    with mock.patch.object(registry_module._PullStrategy, "_unseal",
+                           recording_unseal), \
+            mock.patch.object(registry_module._PullStrategy, "_unpack",
+                              recording_unpack):
+        yield unsealed, unpacked
+
+
+@settings(max_examples=12, deadline=None)
+@given(position=chunk_positions, strategy=st.sampled_from(["eager",
+                                                           "lazy"]))
+def test_tampered_chunk_fails_before_unseal_with_warm_memo(position,
+                                                           strategy):
+    layer_index, chunk_index = position
+    chunk = _BUNDLE.manifest.layers[layer_index].chunks[chunk_index]
+    registry = Registry()
+    registry.push(_BUNDLE)
+    # warm the memo with every chunk of the genuine image
+    EagerPull(registry, _PUBLISHER.public).pull(
+        "app", "v1", InMemoryFileSystem(), _ctx(), keys=_BUNDLE.keys)
+    registry.tamper(chunk.digest)
+    verified = {c.digest for layer in _BUNDLE.manifest.layers
+                for c in layer.chunks}
+    fs, ctx = InMemoryFileSystem(), _ctx(2)
+    puller = (EagerPull if strategy == "eager" else LazyPull)(
+        registry, _PUBLISHER.public)
+    with _recording() as (unsealed, unpacked), \
+            pytest.raises(ImageVerificationError):
+        pulled = puller.pull("app", "v1", fs, ctx, keys=_BUNDLE.keys)
+        pulled.access(layer_index, chunk_index, ctx)
+    assert set(unsealed) <= verified
+    assert (layer_index, chunk.offset) not in unpacked
+    assert not fs.exists(
+        f"/images/app/v1/layer-{layer_index}/chunk-{chunk.offset}")
+
+
+def _provisioner(registry, kbs, attestor, strategy, key_ids):
+    return LaunchProvisioner(
+        attestor, registry, kbs, ("app", "v1"),
+        publisher_key=_PUBLISHER.public, strategy=strategy,
+        key_ids=key_ids)
+
+
+@settings(max_examples=8, deadline=None)
+@given(cause=st.sampled_from(["unknown_key", "attestation"]),
+       strategy=st.sampled_from(["eager", "lazy"]))
+def test_denied_release_unseals_nothing_with_warm_memo(cause, strategy):
+    registry = Registry()
+    registry.push(_BUNDLE)
+    attestor = LaunchAttestor("tdx", seed=7)
+    kbs = KeyBrokerService(attestor.service)
+    kbs.register_bundle(_BUNDLE)
+    key_ids = _BUNDLE.manifest.key_ids
+    # warm the memo through a granted launch of the same image
+    _provisioner(registry, kbs, attestor, "eager", key_ids).provision(
+        "vm-granted")
+    denied = _provisioner(registry, kbs, attestor, strategy,
+                          ("ghost",) if cause == "unknown_key"
+                          else key_ids)
+    make_job = attestor.make_job
+
+    def forged_job(vm_id, ctx):
+        job = make_job(vm_id, ctx)
+        job.nonce = ctx.rng.child("tampered").bytes(16)
+        return job
+
+    with _recording() as (unsealed, unpacked), \
+            mock.patch.object(attestor, "make_job",
+                              forged_job if cause == "attestation"
+                              else make_job), \
+            pytest.raises(KeyReleaseDeniedError):
+        denied.provision("vm-denied")
+    assert unsealed == [] and not unpacked
+    assert kbs.stats[f"denied.{cause}"] == 1
+    assert denied.stats["aborted"] == 1
