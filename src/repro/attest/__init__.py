@@ -15,8 +15,9 @@ measures in Fig. 5:
   validates report signature and fields in three steps, which is why
   both SNP phases are fast.
 
-Cryptography is real: pure-Python RSA (Miller–Rabin key generation,
-PKCS#1 v1.5-style SHA-384 signatures), JSON-canonical certificates,
+Cryptography is real: from-scratch RSA (Miller–Rabin key generation,
+PKCS#1 v1.5-style SHA-384 signatures, exponentiation in libcrypto's
+``BN_mod_exp`` where it loads), JSON-canonical certificates,
 chains and CRLs.  Virtual time for crypto operations is charged
 through the execution context so the Fig. 5 bench can measure it.
 """

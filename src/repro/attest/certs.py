@@ -85,7 +85,8 @@ class CertificateRevocationList:
     next_update: float
     signature: bytes = b""
 
-    def tbs_bytes(self) -> bytes:
+    @cached_property
+    def _tbs(self) -> bytes:
         return _canonical(
             {
                 "issuer": self.issuer,
@@ -94,6 +95,10 @@ class CertificateRevocationList:
                 "next_update": self.next_update,
             }
         )
+
+    def tbs_bytes(self) -> bytes:
+        """The to-be-signed content, encoded once per CRL."""
+        return self._tbs
 
     def is_revoked(self, serial: int) -> bool:
         return serial in self.revoked_serials

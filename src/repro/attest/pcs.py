@@ -18,6 +18,7 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.attest.certs import (
     Certificate,
@@ -167,11 +168,16 @@ class TcbInfo:
     status: str                 # "UpToDate" | "OutOfDate" | ...
     signature: bytes
 
-    def payload(self) -> bytes:
+    @cached_property
+    def _payload(self) -> bytes:
         return json.dumps(
             {"fmspc": self.fmspc, "tcb_svn": self.tcb_svn, "status": self.status},
             sort_keys=True,
         ).encode()
+
+    def payload(self) -> bytes:
+        """The signed content, encoded once per document."""
+        return self._payload
 
 
 @dataclass(frozen=True)
@@ -182,10 +188,15 @@ class QeIdentity:
     isv_svn: int
     signature: bytes
 
-    def payload(self) -> bytes:
+    @cached_property
+    def _payload(self) -> bytes:
         return json.dumps(
             {"mrsigner": self.mrsigner, "isv_svn": self.isv_svn}, sort_keys=True
         ).encode()
+
+    def payload(self) -> bytes:
+        """The signed content, encoded once per document."""
+        return self._payload
 
 
 class IntelPcs:

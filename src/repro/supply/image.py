@@ -10,7 +10,7 @@ sealed bytes, so chunk digests cover exactly what travels the wire
 and a tampered blob is caught *before* any decryption key is used.
 
 Signatures are cosign-style: the publisher signs the manifest's
-canonical bytes with the repo's pure-Python RSA
+canonical bytes with the repo's from-scratch RSA
 (:mod:`repro.attest.crypto`), and verifiers check the signature
 before trusting any digest in the manifest.
 

@@ -1,12 +1,21 @@
-"""Tests for the pure-Python RSA implementation."""
+"""Tests for the RSA implementation and its exponentiation kernel."""
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import os
+import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.attest import crypto
 from repro.attest.crypto import (
     RsaKeyPair,
     RsaPublicKey,
@@ -14,8 +23,10 @@ from repro.attest.crypto import (
     _generate_prime,
     _pad_digest,
     _primes_below,
+    derived_keypair,
     derived_signature,
     generate_keypair,
+    powmod,
 )
 from repro.core.runner import BODY_CACHE_SIZE
 from repro.errors import AttestationError
@@ -298,3 +309,134 @@ class TestCrtSigning:
         for secret in (keypair.d, keypair.p, keypair.q, keypair.dp,
                        keypair.dq, keypair.qinv):
             assert str(secret) not in text
+
+
+def _builtin_kernel():
+    """Force :func:`powmod` onto its builtin ``pow`` fallback."""
+    return mock.patch.object(crypto, "_libcrypto", lambda: None)
+
+
+def _libcrypto_kernel():
+    if crypto._libcrypto() is None:
+        pytest.skip("libcrypto does not load on this host")
+    return contextlib.nullcontext()
+
+
+KERNELS = {"libcrypto": _libcrypto_kernel, "builtin": _builtin_kernel}
+
+
+@st.composite
+def _operands(draw):
+    """``(base, exp, mod)`` of 1 to 2048 bits; ``base`` may exceed
+    ``mod``, and ``mod`` may be 1 or even."""
+    bits = draw(st.integers(1, 2048))
+    mod = draw(st.one_of(st.just(1), st.integers(1, (1 << bits) - 1)))
+    base = draw(st.one_of(st.just(0), st.integers(0, (1 << (bits + 8)) - 1)))
+    exp = draw(st.one_of(st.just(0), st.integers(0, (1 << bits) - 1)))
+    return base, exp, mod
+
+
+class TestPowmod:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @settings(max_examples=120, deadline=None)
+    @given(operands=_operands())
+    @example(operands=(5, 3, 1))
+    @example(operands=(0, 0, 1))
+    @example(operands=(7, 0, 13))
+    @example(operands=(0, 9, 13))
+    @example(operands=(1 << 1030, 65537, (1 << 1024) - 1))
+    @example(operands=(3, (1 << 512) + 1, 1 << 512))
+    def test_equals_builtin_pow(self, kernel, operands):
+        with KERNELS[kernel]():
+            assert powmod(*operands) == pow(*operands)
+
+    @pytest.mark.parametrize("operands", [(2, 3, 0), (-2, 3, 7),
+                                          (2, -3, 7)])
+    def test_rejects_operands_outside_its_domain(self, operands):
+        with pytest.raises(ValueError):
+            powmod(*operands)
+
+    def test_threads_get_correct_results(self):
+        rng = random.Random(7)
+        cases = [(rng.getrandbits(1024), rng.getrandbits(512),
+                  rng.getrandbits(512) | 1) for _ in range(40)]
+        expected = [pow(*case) for case in cases]
+        wrong = []
+
+        def worker(offset):
+            for i in range(200):
+                j = (i + offset) % len(cases)
+                if powmod(*cases[j]) != expected[j]:
+                    wrong.append(j)
+
+        threads = [threading.Thread(target=worker, args=(k * 10,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_builtin_fallback_gives_the_same_keys_and_signatures(
+            self, monkeypatch):
+        def digest():
+            parent = SimRng(11, "kernel")
+            h = hashlib.sha256()
+            for label in ("a", "b", "c", "d"):
+                pair = derived_keypair(parent, label)
+                h.update(f"{pair.public.n:x}:{pair.d:x}".encode())
+                for message in PIN_MESSAGES[:4]:
+                    signature = pair.sign(message)
+                    assert pair.public.verify(message, signature)
+                    h.update(signature)
+            return h.hexdigest()
+
+        monkeypatch.setattr(crypto, "_KEYPAIR_CACHE", {})
+        native = digest()
+        monkeypatch.setattr(crypto, "_KEYPAIR_CACHE", {})
+        with _builtin_kernel():
+            assert digest() == native
+
+    def test_ctypes_is_imported_on_the_first_call(self):
+        """Binding is lazy: a process that imports the module but never
+        exponentiates never imports :mod:`ctypes`."""
+        code = ("import sys\n"
+                "import repro.attest.crypto as crypto\n"
+                "assert 'ctypes' not in sys.modules\n"
+                "assert crypto.powmod(3, 5, 7) == 5\n"
+                "assert 'ctypes' in sys.modules\n")
+        src = Path(crypto.__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestExponentiationCounts:
+    def test_sign_is_two_half_size_calls_and_verify_one(self, keypair,
+                                                         monkeypatch):
+        """CRT signing exponentiates modulo ``p`` and modulo ``q``, at
+        half the modulus bits; textbook ``m^d mod n`` would make one
+        full-size call.  Verifying makes one call with exponent e."""
+        calls = []
+
+        def recording(base, exp, mod):
+            calls.append((exp, mod))
+            return powmod(base, exp, mod)
+
+        monkeypatch.setattr(crypto, "powmod", recording)
+        half = keypair.public.bits // 2
+        for message in PIN_MESSAGES[:8]:
+            calls.clear()
+            signature = keypair.sign(message)
+            assert calls == [(keypair.dp, keypair.p), (keypair.dq, keypair.q)]
+            assert [mod.bit_length() for _, mod in calls] == [half, half]
+            calls.clear()
+            assert keypair.public.verify(message, signature)
+            assert calls == [(keypair.public.e, keypair.public.n)]

@@ -6,6 +6,8 @@ fresh (``!cached``), stale-but-acceptable (``!stale``), or reject
 (evicted, ``!open``) — and both the log and the cache are bounded.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,3 +196,36 @@ def test_request_log_matches_list_model(capacity, entries):
     assert log.clean == sum("!" not in entry for entry in model)
     assert repr(log) == (f"RequestLog({model[-capacity:]!r}, "
                          f"capacity={capacity}, dropped={log.dropped})")
+
+
+class TestSignedBytesEncodedOnce:
+    """TCB info, QE identity and CRLs keep their encoded signed bytes,
+    like certificates; every verification over them still runs, and a
+    changed copy is encoded afresh, so it no longer verifies."""
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        pcs = IntelPcs(SimRng(21, "encode-once"))
+        ctx = make_ctx()
+        return pcs, ctx, [pcs.fetch_tcb_info(ctx), pcs.fetch_qe_identity(ctx),
+                          pcs.fetch_root_crl(ctx)]
+
+    def test_bytes_encoded_once_per_document(self, documents):
+        _, _, docs = documents
+        for doc in docs:
+            encode = getattr(doc, "payload", None) or doc.tbs_bytes
+            assert encode() is encode()
+
+    def test_changed_copies_fail_verification(self, documents):
+        pcs, _, (tcb, identity, crl) = documents
+        assert pcs.verify_tcb_signature(tcb)
+        assert pcs.verify_qe_identity_signature(identity)
+        root_key = pcs.root_ca.certificate.public_key
+        assert root_key.verify(crl.tbs_bytes(), crl.signature)
+        assert not pcs.verify_tcb_signature(
+            dataclasses.replace(tcb, status="Revoked"))
+        assert not pcs.verify_qe_identity_signature(
+            dataclasses.replace(identity, isv_svn=identity.isv_svn + 1))
+        assert not root_key.verify(
+            dataclasses.replace(crl, revoked_serials=frozenset({1})
+                                ).tbs_bytes(), crl.signature)

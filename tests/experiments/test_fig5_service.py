@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+from repro.attest import crypto
 from repro.attest.crypto import RsaKeyPair, RsaPublicKey, derived_signature
 from repro.core.runner import TrialRunner
 from repro.experiments import run_fig5_service
@@ -75,3 +76,28 @@ class TestSigningCounts:
         repeat = run_fig5_service(seed=0, trials=6)
         assert calls == {"sign": 66, "verify": 396}
         assert result_key(repeat) == result_key(first)
+
+    def test_exponentiations_per_run(self, monkeypatch):
+        """Exact count of :func:`~repro.attest.crypto.powmod` calls per
+        ``run_fig5_service(seed=0, trials=6)``.  A repeat run makes 528:
+        two half-size calls (mod p, mod q) for each of its 66 signatures
+        and one with e = 65537 for each of 396 verifications.  A fresh
+        process also signs 10 static documents and runs 1,417 full-size
+        Miller–Rabin rounds to generate its 8 keys.  Textbook signing
+        would make one call per signature, with the full modulus."""
+        calls = Counter()
+        powmod = crypto.powmod
+
+        def counting(base, exp, mod):
+            calls["verify" if exp == 65537 else
+                  f"{mod.bit_length()}-bit"] += 1
+            return powmod(base, exp, mod)
+
+        monkeypatch.setattr(crypto, "powmod", counting)
+        monkeypatch.setattr(crypto, "_KEYPAIR_CACHE", {})
+        derived_signature.cache_clear()   # the memos of a fresh process
+        run_fig5_service(seed=0, trials=6)
+        assert calls == {"512-bit": 2 * 76 + 1_417, "verify": 396}
+        calls.clear()
+        run_fig5_service(seed=0, trials=6)
+        assert calls == {"512-bit": 2 * 66, "verify": 396}
