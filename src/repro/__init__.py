@@ -24,32 +24,44 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
 paper-vs-measured results on every figure.
 """
 
-from repro.core.api import ConfBench
-from repro.core.client import ConfBenchClient
-from repro.core.config import GatewayConfig, PlatformEntry, default_config
-from repro.core.gateway import Gateway, GatewayStats, InvocationRequest
-from repro.core.results import InvocationRecord, RatioSummary
-from repro.errors import ConfBenchError
-from repro.obs import MetricsRegistry, Profile, TraceExporter
-from repro.tee.registry import available_platforms, platform_by_name
-from repro.version import __version__
+import importlib
 
-__all__ = [
-    "ConfBench",
-    "ConfBenchClient",
-    "ConfBenchError",
-    "GatewayConfig",
-    "PlatformEntry",
-    "default_config",
-    "Gateway",
-    "GatewayStats",
-    "InvocationRequest",
-    "InvocationRecord",
-    "MetricsRegistry",
-    "Profile",
-    "RatioSummary",
-    "TraceExporter",
-    "available_platforms",
-    "platform_by_name",
-    "__version__",
-]
+#: Public name -> defining module.  Names resolve on first access
+#: (PEP 562), so ``import repro.cli`` or a trial worker that needs one
+#: subpackage does not load the gateway, REST client and HTTP stack.
+_EXPORTS = {
+    "ConfBench": "repro.core.api",
+    "ConfBenchClient": "repro.core.client",
+    "ConfBenchError": "repro.errors",
+    "GatewayConfig": "repro.core.config",
+    "PlatformEntry": "repro.core.config",
+    "default_config": "repro.core.config",
+    "Gateway": "repro.core.gateway",
+    "GatewayStats": "repro.core.gateway",
+    "InvocationRequest": "repro.core.gateway",
+    "InvocationRecord": "repro.core.results",
+    "MetricsRegistry": "repro.obs.metrics",
+    "Profile": "repro.obs.profile",
+    "RatioSummary": "repro.core.results",
+    "TraceExporter": "repro.obs.export",
+    "available_platforms": "repro.tee.registry",
+    "platform_by_name": "repro.tee.registry",
+    "__version__": "repro.version",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

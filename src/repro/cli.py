@@ -31,8 +31,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core.api import ConfBench
-from repro.core.rest import RestServer
 from repro.errors import ConfBenchError
 
 
@@ -221,6 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_platforms(args) -> int:
+    from repro.core.api import ConfBench
+
     bench = ConfBench(seed=args.seed)
     for info in bench.platforms():
         simulated = " (simulated)" if info["is_simulated"] else ""
@@ -240,6 +240,8 @@ def _cmd_workloads(args) -> int:
 
 
 def _cmd_invoke(args) -> int:
+    from repro.core.api import ConfBench
+
     bench = ConfBench(seed=args.seed)
     bench.upload(args.function)
     records = bench.invoke(
@@ -254,6 +256,8 @@ def _cmd_invoke(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.core.api import ConfBench
+
     bench = ConfBench(seed=args.seed)
     bench.upload(args.function)
     secure = bench.invoke(args.function, args.language,
@@ -293,6 +297,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from repro.core.api import ConfBench
+    from repro.core.rest import RestServer
+
     bench = ConfBench(seed=args.seed)
     server = RestServer(bench.gateway, port=args.port)
     print(f"ConfBench gateway on http://127.0.0.1:{server.port} "

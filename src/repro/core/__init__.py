@@ -30,47 +30,53 @@ The pieces map one-to-one onto the paper's architecture (Fig. 2):
   executes, registered on import.
 """
 
-from repro.core.api import ConfBench
-from repro.core.config import GatewayConfig, PlatformEntry
-from repro.core.gateway import Gateway, GatewayStats, InvocationRequest
-from repro.core.host import Host
-from repro.core.launcher import FunctionLauncher
-from repro.core.monitor import PerfMonitor, PerfReport
-from repro.core.pool import LoadBalancingPolicy, TeePool
-from repro.core.relay import TcpRelay
-from repro.core.results import InvocationRecord, RatioSummary, summarize_ratio
-from repro.core.runner import (
-    ParallelTrialExecutor,
-    SerialTrialExecutor,
-    TrialPlan,
-    TrialRunner,
-    TrialSpec,
-)
-import repro.core.scenarios  # noqa: F401  (registers the built-in kinds)
-from repro.core.storage import FunctionStore, StoredFunction
+import importlib
 
-__all__ = [
-    "ConfBench",
-    "GatewayConfig",
-    "PlatformEntry",
-    "Gateway",
-    "GatewayStats",
-    "InvocationRequest",
-    "Host",
-    "FunctionLauncher",
-    "PerfMonitor",
-    "PerfReport",
-    "LoadBalancingPolicy",
-    "TeePool",
-    "TcpRelay",
-    "InvocationRecord",
-    "RatioSummary",
-    "summarize_ratio",
-    "FunctionStore",
-    "StoredFunction",
-    "TrialSpec",
-    "TrialPlan",
-    "TrialRunner",
-    "SerialTrialExecutor",
-    "ParallelTrialExecutor",
-]
+import repro.core.scenarios  # noqa: F401  (registers the built-in kinds)
+
+#: Public name -> defining module, resolved on first access (PEP 562):
+#: a trial worker importing :mod:`repro.core.runner` does not load the
+#: gateway, storage and REST stack.  Kind registration above stays
+#: eager, so every import of the runner still knows every built-in kind.
+_EXPORTS = {
+    "ConfBench": "repro.core.api",
+    "GatewayConfig": "repro.core.config",
+    "PlatformEntry": "repro.core.config",
+    "Gateway": "repro.core.gateway",
+    "GatewayStats": "repro.core.gateway",
+    "InvocationRequest": "repro.core.gateway",
+    "Host": "repro.core.host",
+    "FunctionLauncher": "repro.core.launcher",
+    "PerfMonitor": "repro.core.monitor",
+    "PerfReport": "repro.core.monitor",
+    "LoadBalancingPolicy": "repro.core.pool",
+    "TeePool": "repro.core.pool",
+    "TcpRelay": "repro.core.relay",
+    "InvocationRecord": "repro.core.results",
+    "RatioSummary": "repro.core.results",
+    "summarize_ratio": "repro.core.results",
+    "FunctionStore": "repro.core.storage",
+    "StoredFunction": "repro.core.storage",
+    "TrialSpec": "repro.core.runner",
+    "TrialPlan": "repro.core.runner",
+    "TrialRunner": "repro.core.runner",
+    "SerialTrialExecutor": "repro.core.runner",
+    "ParallelTrialExecutor": "repro.core.runner",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -33,11 +33,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, Sequence
 
 from repro.errors import (
     AttestationError,
@@ -59,6 +57,9 @@ from repro.sim.trace import Trace
 from repro.tee.base import VmConfig
 from repro.tee.registry import platform_by_name
 from repro.tee.vm import RunResult
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only for parallel runs
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class RunnerError(GatewayError):
@@ -531,6 +532,11 @@ class ParallelTrialExecutor:
             return []
         if self.jobs == 1 or len(specs) == 1:
             return SerialTrialExecutor().map(fn, specs, on_result=on_result)
+        # imported here, not at module top: loading the process pool
+        # pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         results: dict[int, RunResult] = {}
         respawns = 0
         pool = self._new_pool()
@@ -585,6 +591,8 @@ class ParallelTrialExecutor:
     # -- supervision internals -----------------------------------------
 
     def _new_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=self.jobs,
                                    mp_context=self._mp_context)
 

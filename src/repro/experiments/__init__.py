@@ -21,28 +21,46 @@ module                       paper artifact
 ==========================  ==========================================
 """
 
-from repro.experiments.fig3_ml import Fig3Result, run_fig3
-from repro.experiments.dbms_table import DbmsTableResult, run_dbms_table
-from repro.experiments.fig4_unixbench import Fig4Result, run_fig4
-from repro.experiments.fig5_attestation import Fig5Result, run_fig5
-from repro.experiments.fig5_service import Fig5ServiceResult, run_fig5_service
-from repro.experiments.fig6_heatmap import HeatmapResult, run_fig6
-from repro.experiments.fig7_cca_heatmap import run_fig7
-from repro.experiments.fig8_cca_box import Fig8Result, run_fig8
-from repro.experiments.fig9_cluster import Fig9ClusterResult, run_fig9
-from repro.experiments.fig10_supplychain import (
-    Fig10SupplyResult,
-    run_fig10,
-)
+import importlib
 
-__all__ = [
-    "Fig3Result", "run_fig3",
-    "DbmsTableResult", "run_dbms_table",
-    "Fig4Result", "run_fig4",
-    "Fig5Result", "run_fig5",
-    "Fig5ServiceResult", "run_fig5_service",
-    "HeatmapResult", "run_fig6", "run_fig7",
-    "Fig8Result", "run_fig8",
-    "Fig9ClusterResult", "run_fig9",
-    "Fig10SupplyResult", "run_fig10",
-]
+#: Public name -> defining module, resolved on first access (PEP 562):
+#: running one figure loads only its harness, not all ten (and not
+#: the DBMS engine that only the DBMS table uses).
+_EXPORTS = {
+    "Fig3Result": "repro.experiments.fig3_ml",
+    "run_fig3": "repro.experiments.fig3_ml",
+    "DbmsTableResult": "repro.experiments.dbms_table",
+    "run_dbms_table": "repro.experiments.dbms_table",
+    "Fig4Result": "repro.experiments.fig4_unixbench",
+    "run_fig4": "repro.experiments.fig4_unixbench",
+    "Fig5Result": "repro.experiments.fig5_attestation",
+    "run_fig5": "repro.experiments.fig5_attestation",
+    "Fig5ServiceResult": "repro.experiments.fig5_service",
+    "run_fig5_service": "repro.experiments.fig5_service",
+    "HeatmapResult": "repro.experiments.fig6_heatmap",
+    "run_fig6": "repro.experiments.fig6_heatmap",
+    "run_fig7": "repro.experiments.fig7_cca_heatmap",
+    "Fig8Result": "repro.experiments.fig8_cca_box",
+    "run_fig8": "repro.experiments.fig8_cca_box",
+    "Fig9ClusterResult": "repro.experiments.fig9_cluster",
+    "run_fig9": "repro.experiments.fig9_cluster",
+    "Fig10SupplyResult": "repro.experiments.fig10_supplychain",
+    "run_fig10": "repro.experiments.fig10_supplychain",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -198,14 +198,23 @@ class TestExecutors:
     def test_spawned_workers_register_every_builtin_kind(self):
         # a spawned worker is a fresh interpreter: it inherits no
         # registry, so each kind must register through the import of
-        # repro.core.runner alone (forked workers would hide that)
+        # repro.core.runner alone (forked workers would hide that);
+        # repro.core exports lazily but imports its scenarios eagerly
         import multiprocessing
 
+        attestation_plan = [
+            spec
+            for kind in ("attestation", "attestation-service")
+            for platform, flavor in (("tdx", "tdx-attestation"),
+                                     ("sev-snp", "snp-attestation"))
+            for spec in TrialPlan.matrix(
+                kind=kind, platforms=(platform,), workloads=(flavor,),
+                trials=1, seed=3, secure_modes=(True,),
+                params={"infra_seed": 3})
+        ]
         specs = [
             faas_spec(),
-            TrialSpec.make(kind="attestation", platform="sev-snp",
-                           secure=True, workload="snp-attestation",
-                           trial=0, seed=3),
+            *attestation_plan,
             TrialSpec.make(kind="supplychain", platform="tdx",
                            secure=False, workload="eager-normal",
                            trial=0, seed=3,
