@@ -94,15 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "bit-identical either way)")
     experiment.add_argument("-t", "--trials", type=int, default=None,
                             help="override the artifact's trial count")
-    experiment.add_argument("--cache", metavar="FILE",
-                            help="JSONL result cache keyed by trial spec "
-                                 "hash; repeated runs skip finished trials")
-    experiment.add_argument("--resume", metavar="FILE",
-                            help="durable trial journal: completed trials "
-                                 "are appended as they finish and replayed "
-                                 "on re-run, so a killed sweep resumes "
-                                 "where it stopped (results bit-identical "
-                                 "to an uninterrupted run)")
+    experiment.add_argument("--resume", "--cache", metavar="FILE",
+                            help="durable trial journal keyed by trial spec "
+                                 "hash: completed trials are appended as "
+                                 "they finish and replayed on re-run, so a "
+                                 "repeated or killed sweep executes only "
+                                 "the missing trials (results bit-identical "
+                                 "to an uninterrupted run); a file that is "
+                                 "not a journal is refused")
     experiment.add_argument("--trial-budget", type=float, default=None,
                             metavar="NS",
                             help="virtual-time watchdog: degrade any trial "
@@ -478,9 +477,8 @@ def _cmd_experiment(args) -> int:
     from repro import experiments
     from repro.core.runner import TrialRunner
 
-    _writable_file_arg(args, args.cache, "--cache")
     _writable_file_arg(args, args.trace_out, "--trace-out")
-    _writable_file_arg(args, args.resume, "--resume")
+    _writable_file_arg(args, args.resume, "--resume/--cache")
     _writable_file_arg(args, args.metrics_out, "--metrics-out")
     _writable_file_arg(args, args.chrome_trace, "--chrome-trace")
     if args.trial_budget is not None and args.trial_budget <= 0:
@@ -498,11 +496,6 @@ def _cmd_experiment(args) -> int:
             faults = FaultPlan.parse(args.faults)
         except SimulationError as exc:
             args.subparser.error(f"argument --faults: {exc}")
-    cache = None
-    if args.cache:
-        from repro.core.resultstore import SpecResultCache
-
-        cache = SpecResultCache(args.cache)
     journal = None
     if args.resume:
         from repro.core.journal import TrialJournal
@@ -511,8 +504,7 @@ def _cmd_experiment(args) -> int:
         if len(journal):
             print(f"resuming from {args.resume}: "
                   f"{len(journal)} journaled trial(s)")
-    runner = TrialRunner(jobs=args.jobs, cache=cache, faults=faults,
-                         journal=journal,
+    runner = TrialRunner(jobs=args.jobs, faults=faults, journal=journal,
                          budget_ns=args.trial_budget or 0.0,
                          watchdog_s=args.watchdog)
 

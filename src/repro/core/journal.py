@@ -22,10 +22,11 @@ Durability model
 - On open, a torn final line (no trailing newline, or unparseable) is
   detected and truncated — never fatal.  Corrupt lines elsewhere in
   the file are skipped with a warning; their trials simply re-execute.
-- The journal is an append-only log, distinct from
-  :class:`~repro.core.resultstore.SpecResultCache` (a rewrite-in-place
-  cache): the journal records *this sweep's* progress and is the thing
-  ``--resume`` points at.
+- A non-empty file whose first line is not the journal header is
+  refused with a :class:`~repro.errors.GatewayError` and left
+  byte-identical: the journal only ever truncates files it wrote.  The
+  one exception is a file holding nothing but a prefix of the header
+  (a torn first write), which is truncated like any torn line.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ from repro.errors import GatewayError
 #: Journal format version, bumped on incompatible entry changes.
 JOURNAL_VERSION = 1
 
+#: The first line of every journal file.
+_HEADER = json.dumps({"kind": "journal", "version": JOURNAL_VERSION}) + "\n"
+
 
 class TrialJournal:
     """Append-only JSONL journal of completed trial results.
@@ -48,7 +52,7 @@ class TrialJournal:
     every further line is ``{"kind": "trial", "hash": <spec content
     hash>, "result": <RunResult.to_dict()>}``.  The newest entry for a
     hash wins.  Plugs into :class:`~repro.core.runner.TrialRunner` via
-    the same ``get``/``put`` protocol the spec-result cache uses.
+    its ``get``/``put`` pair.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -88,6 +92,7 @@ class TrialJournal:
         raw = self.path.read_bytes()
         if not raw:
             return
+        self._check_header(raw)
         keep = len(raw)
         if not raw.endswith(b"\n"):
             keep = raw.rfind(b"\n") + 1
@@ -115,6 +120,28 @@ class TrialJournal:
                 handle.truncate(keep)
                 handle.flush()
                 os.fsync(handle.fileno())
+
+    def _check_header(self, raw: bytes) -> None:
+        """Refuse a file this class did not write, before touching it.
+
+        Every journal starts with the header line, so a non-empty file
+        whose first newline-terminated line is not a header — a text
+        file, an old headerless result cache — is some other file, and
+        the torn-line repair below must not truncate it.  A file with
+        no newline at all is a torn first write only if it is a prefix
+        of the header.
+        """
+        first, newline, _ = raw.partition(b"\n")
+        if not newline and _HEADER.encode().startswith(raw):
+            return
+        try:
+            header = json.loads(first) if newline else None
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("kind") != "journal":
+            raise GatewayError(
+                f"{self.path}: not a trial journal (its first line is not "
+                "a journal header); refusing to modify it")
 
     def _parse(self, line: bytes, line_number: int,
                final: bool) -> tuple[str, dict] | None:
@@ -160,13 +187,10 @@ class TrialJournal:
         self.warnings.append(message)
         warnings.warn(message, stacklevel=3)
 
-    # -- the cache protocol --------------------------------------------
+    # -- the runner protocol -------------------------------------------
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, spec) -> bool:
-        return spec.content_hash() in self._entries
 
     def get(self, spec):
         """The journaled result for ``spec``, or None when absent."""
@@ -193,8 +217,7 @@ class TrialJournal:
             return
         payload = result.to_dict()
         if os.fstat(self._handle.fileno()).st_size == 0:
-            self._handle.write(json.dumps(
-                {"kind": "journal", "version": JOURNAL_VERSION}) + "\n")
+            self._handle.write(_HEADER)
         self._entries[spec_hash] = payload
         # No sort_keys: key order in the payload (e.g. span breakdowns)
         # must survive the round-trip, or replayed results would not be

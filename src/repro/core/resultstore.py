@@ -6,11 +6,6 @@ as JSON-lines with run metadata (seed, version, label), reloaded for
 analysis, and two archived runs can be diffed for ratio drift (useful
 for regression-tracking TEE stacks across firmware/kernel updates,
 exactly the before/after comparison §III-B's firmware anecdote needed).
-
-:class:`SpecResultCache` is the runner-pipeline counterpart: a
-spec-hash keyed archive of :class:`~repro.tee.vm.RunResult` payloads,
-so re-running an experiment with identical trial specs skips the
-completed trials and replays their archived results.
 """
 
 from __future__ import annotations
@@ -168,89 +163,6 @@ class ResultStore:
         if not matches:
             raise GatewayError(f"no archived run labelled {label!r}")
         return matches[-1]
-
-
-class SpecResultCache:
-    """Spec-hash keyed JSONL cache of completed trial results.
-
-    Each line is ``{"hash": <spec content hash>, "result": <RunResult
-    JSON>}``; the newest entry for a hash wins.  Passed to
-    :class:`repro.core.runner.TrialRunner` to make experiment re-runs
-    incremental: a trial whose spec hash is already cached is not
-    executed again.
-
-    Loading tolerates corrupt or truncated lines (a crashed writer's
-    torn tail loses that one entry, not the cache), and :meth:`put`
-    rewrites the file atomically so the on-disk cache is never left
-    half-written.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        if not self.path.parent.is_dir():
-            raise GatewayError(
-                f"cache directory does not exist: {self.path.parent}")
-        self._entries: dict[str, dict] = {}
-        #: hash -> serialised line, kept in sync with ``_entries`` so
-        #: :meth:`put` rewrites without re-dumping every payload
-        self._lines: dict[str, str] = {}
-        self.hits = 0
-        self.misses = 0
-        #: human-readable notes about lines skipped while loading
-        self.warnings: list[str] = []
-        if self.path.exists():
-            with self.path.open(encoding="utf-8") as handle:
-                for line_number, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        self._skip(line_number, f"bad JSON: {exc}")
-                        continue
-                    if (not isinstance(payload, dict)
-                            or not isinstance(payload.get("hash"), str)
-                            or not isinstance(payload.get("result"), dict)):
-                        self._skip(line_number, "not a cache entry")
-                        continue
-                    self._entries[payload["hash"]] = payload["result"]
-                    self._lines[payload["hash"]] = line
-
-    def _skip(self, line_number: int, reason: str) -> None:
-        message = f"{self.path}:{line_number}: {reason} (entry skipped)"
-        self.warnings.append(message)
-        warnings.warn(message, stacklevel=3)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, spec):
-        """The archived result for ``spec``, or None on a miss."""
-        from repro.tee.vm import RunResult
-
-        payload = self._entries.get(spec.content_hash())
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return RunResult.from_dict(payload)
-
-    def put(self, spec, result) -> None:
-        """Archive ``result`` under ``spec``'s content hash.
-
-        The whole cache is rewritten through a tempfile + atomic
-        rename, so a crash mid-put leaves the previous cache intact
-        (and compacts any duplicate hashes a pre-crash append left
-        behind).  Each payload is serialised once — the rewrite reuses
-        the cached lines of unchanged entries.
-        """
-        spec_hash = spec.content_hash()
-        payload = result.to_dict()
-        self._entries[spec_hash] = payload
-        self._lines[spec_hash] = json.dumps(
-            {"hash": spec_hash, "result": payload})
-        _atomic_write(self.path, "\n".join(self._lines.values()) + "\n")
 
 
 def compare_runs(before: ArchivedRun,

@@ -160,7 +160,7 @@ class TrialSpec:
             "contention": self.contention,
         }
         # only non-default fields enter the digest, so every
-        # pre-existing cache/journal entry stays addressable under its
+        # pre-existing journal entry stays addressable under its
         # original hash
         if self.faults:
             blob["faults"] = self.faults
@@ -674,11 +674,6 @@ class TrialRunner:
         Worker-process count; 1 (default) selects the serial executor.
     executor:
         Explicit executor instance (overrides ``jobs``).
-    cache:
-        Optional spec-hash result cache (see
-        :class:`repro.core.resultstore.SpecResultCache`): trials whose
-        spec hash is already cached are skipped and their archived
-        results returned in place.
     faults:
         Optional fault plan (a spec string or :class:`FaultPlan`)
         applied to every plan this runner executes; see
@@ -709,7 +704,6 @@ class TrialRunner:
 
     def __init__(self, jobs: int = 1,
                  executor: TrialExecutor | None = None,
-                 cache=None,
                  faults: "str | FaultPlan | None" = None,
                  journal=None,
                  budget_ns: float | None = None,
@@ -726,7 +720,6 @@ class TrialRunner:
                                                   heartbeat_s=watchdog_s)
         else:
             self.executor = SerialTrialExecutor()
-        self.cache = cache
         self.journal = journal
         self.budget_ns = budget_ns
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -750,15 +743,9 @@ class TrialRunner:
             self.journal.metrics = self.metrics
         results: dict[int, RunResult] = {}
         pending: list[tuple[int, TrialSpec]] = []
-        replayed_before = (self.journal.replayed
-                           if self.journal is not None else 0)
-        cached = 0
         for index, spec in enumerate(plan):
             archived = (self.journal.get(spec)
                         if self.journal is not None else None)
-            if archived is None and self.cache is not None:
-                archived = self.cache.get(spec)
-                cached += archived is not None
             if archived is not None:
                 results[index] = archived
             else:
@@ -767,14 +754,12 @@ class TrialRunner:
             self._dispatch(pending, results)
         ordered = [results[index] for index in range(len(plan))]
         self.history.append((plan, ordered))
-        replayed = (self.journal.replayed - replayed_before
-                    if self.journal is not None else 0)
         self._observe(ordered, executed=len(pending),
-                      replayed=replayed, cached=cached)
+                      replayed=len(plan) - len(pending))
         return ordered
 
     def _observe(self, ordered: list[RunResult], executed: int,
-                 replayed: int, cached: int) -> None:
+                 replayed: int) -> None:
         """Fold one plan's results into the metrics registry.
 
         Called with results in spec order *after* execution, never
@@ -787,8 +772,6 @@ class TrialRunner:
         self.metrics.count("runner.trials_executed", executed)
         if replayed:
             self.metrics.count("runner.trials_replayed", replayed)
-        if cached:
-            self.metrics.count("runner.trials_cached", cached)
         for result in ordered:
             result.emit(self.metrics)
 
@@ -802,17 +785,12 @@ class TrialRunner:
 
         def on_result(position: int, result: RunResult) -> None:
             index, spec = pending[position]
-            self._persist(spec, result)
+            if self.journal is not None:
+                self.journal.put(spec, result)
             results[index] = result
 
         self.executor.map(execute_trial, [spec for _, spec in pending],
                           on_result=on_result)
-
-    def _persist(self, spec: TrialSpec, result: RunResult) -> None:
-        if self.cache is not None:
-            self.cache.put(spec, result)
-        if self.journal is not None:
-            self.journal.put(spec, result)
 
     def run_cells(self, plan: TrialPlan) -> dict[tuple, list[RunResult]]:
         """Execute a plan and group results by spec ``cell``.

@@ -4,7 +4,8 @@ The per-op path charges the ledger one operation at a time — every
 charge pays a method-dispatch chain (workload → kernel → context →
 ledger/clock), an enum hash, and a noise draw wrapped in Python-level
 calls.  At UnixBench scale that is ~3000 charges per trial and the
-binding constraint on trials/second (ROADMAP item 4).
+binding constraint on trials/second (DESIGN.md, "Simulation kernel:
+batched op streams").
 
 This module batches that hot path.  Workload emitters describe work as
 an :class:`OpBatch` — an ordered program of *(op sequence, repeat

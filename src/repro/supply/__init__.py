@@ -1,14 +1,15 @@
 """Confidential container supply chain.
 
 The deployment path the paper's FaaS evaluation stops short of
-(ROADMAP item 2, modeled on the coco-serverless stack): OCI-style
-images with content-addressed, optionally encrypted layers; a
-deterministic registry one WAN hop away; cosign-style manifest
-signatures verified in-guest; eager vs nydus-style lazy (chunk-on-
-demand) pull strategies charging real cost-ledger categories; and a
-Key Broker Service that releases layer-decryption keys only after a
-successful :mod:`repro.attest` launch verification — riding the PR 8
-session cache so resumed launches skip the origin round-trip.
+(DESIGN.md, "Confidential supply chain"; modeled on the
+coco-serverless stack): OCI-style images with content-addressed,
+optionally encrypted layers; a deterministic registry one WAN hop
+away; cosign-style manifest signatures verified in-guest; eager vs
+nydus-style lazy (chunk-on-demand) pull strategies charging real
+cost-ledger categories; and a Key Broker Service that releases
+layer-decryption keys only after a successful :mod:`repro.attest`
+launch verification — riding the attestation session cache so resumed
+launches skip the origin round-trip.
 
 Entry points: build and sign an image (:func:`build_image`,
 :func:`sign_image`), push it to a :class:`Registry`, escrow its keys

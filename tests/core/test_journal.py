@@ -1,9 +1,12 @@
 """Tests for the durable trial journal and sweep resume."""
 
 import json
+import os
+import sys
 
 import pytest
 
+from repro.cli import main
 from repro.core.journal import JOURNAL_VERSION, TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.errors import GatewayError
@@ -116,21 +119,6 @@ class TestReplayIdentity:
                                   faults=FAULT_SPEC).run(plan)
         assert dump(baseline) == dump(resumed)
 
-    def test_journal_preferred_over_cache(self, tmp_path):
-        """Lookup order: journal first, then the spec-result cache."""
-        from repro.core.resultstore import SpecResultCache
-
-        plan = small_plan(trials=1)
-        cache = SpecResultCache(tmp_path / "cache.jsonl")
-        TrialRunner(cache=cache).run(plan)
-        with TrialJournal(tmp_path / "j.jsonl") as journal:
-            TrialRunner(journal=journal).run(plan)
-        cache2 = SpecResultCache(tmp_path / "cache.jsonl")
-        with TrialJournal(tmp_path / "j.jsonl") as journal:
-            TrialRunner(journal=journal, cache=cache2).run(plan)
-            assert journal.replayed == len(plan.specs)
-            assert cache2.hits == 0
-
 
 class TestCrashRecovery:
     def _journaled(self, tmp_path, trials=2):
@@ -199,3 +187,143 @@ class TestCrashRecovery:
             TrialRunner(journal=journal).run(plan)
         for line in path.read_text().splitlines():
             json.loads(line)   # every line is whole again
+
+
+class TestForeignFiles:
+    """The journal refuses, untouched, any file it did not write."""
+
+    def test_text_file_refused_and_unchanged(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("first note\nsecond note\nthird note\n")
+        before = path.read_bytes()
+        with pytest.raises(GatewayError, match="not a trial journal"):
+            TrialJournal(path)
+        assert path.read_bytes() == before
+
+    def test_text_file_without_newline_refused(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("one unterminated note")
+        with pytest.raises(GatewayError, match="not a trial journal"):
+            TrialJournal(path)
+        assert path.read_text() == "one unterminated note"
+
+    def test_old_cache_format_refused_and_unchanged(self, tmp_path):
+        """The retired result cache wrote headerless ``{"hash",
+        "result"}`` lines; such a file is refused, not half-read."""
+        plan = small_plan(trials=1)
+        path = tmp_path / "cache.jsonl"
+        lines = [json.dumps({"hash": spec.content_hash(),
+                             "result": result.to_dict()})
+                 for spec, result in zip(plan, TrialRunner().run(plan))]
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(GatewayError, match="not a trial journal"):
+            TrialJournal(path)
+        assert path.read_bytes() == before
+
+    def test_torn_header_opens_and_resumes(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"kind": "jour')
+        plan = small_plan(trials=1)
+        with pytest.warns(UserWarning, match="torn final line"):
+            journal = TrialJournal(path)
+        with journal:
+            first = TrialRunner(journal=journal).run(plan)
+            assert journal.recorded == len(plan.specs)
+        with TrialJournal(path) as journal:
+            again = TrialRunner(journal=journal).run(plan)
+            assert journal.replayed == len(plan.specs)
+        assert dump(first) == dump(again)
+        assert json.loads(path.read_text().splitlines()[0]) == {
+            "kind": "journal", "version": JOURNAL_VERSION}
+
+    def test_cli_refuses_foreign_file(self, tmp_path, capsys):
+        path = tmp_path / "notes.txt"
+        path.write_text("keep me\n")
+        assert main(["experiment", "fig5", "--quick",
+                     "--resume", str(path)]) == 1
+        assert "not a trial journal" in capsys.readouterr().err
+        assert path.read_text() == "keep me\n"
+
+
+class _Spec:
+    def __init__(self, index):
+        self.index = index
+
+    def content_hash(self):
+        return f"{self.index:064x}"
+
+
+class _Result:
+    def __init__(self, index):
+        self.index = index
+
+    def to_dict(self):
+        return {"trial": self.index, "elapsed_ns": 1000.0 + self.index,
+                "platform": "tdx", "secure": self.index % 2 == 0}
+
+
+def _bytes_written():
+    """This process's cumulative ``write(2)`` byte count (Linux)."""
+    with open("/proc/self/io", encoding="ascii") as handle:
+        for line in handle:
+            name, _, value = line.partition(":")
+            if name == "wchar":
+                return int(value)
+    raise AssertionError("no wchar in /proc/self/io")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="write accounting reads /proc/self/io")
+class TestLinearWrites:
+    def test_puts_write_the_file_once(self, tmp_path, monkeypatch):
+        """Exact counts: a sweep writes each byte of its journal once,
+        one fsync per put, and never a temporary file — a journal that
+        rewrote itself per put would write O(puts^2) bytes."""
+        import tempfile
+
+        puts = 5_000
+        fsyncs = []
+        monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(fd))
+        temps = []
+        real_mkstemp = tempfile.mkstemp
+
+        def counting_mkstemp(*args, **kwargs):
+            temps.append(args)
+            return real_mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", counting_mkstemp)
+        path = tmp_path / "sweep.jsonl"
+        journal = TrialJournal(path)
+        inode = path.stat().st_ino
+        written_before = _bytes_written()
+        for index in range(puts):
+            journal.put(_Spec(index), _Result(index))
+        written = _bytes_written() - written_before
+        journal.close()
+        assert written == path.stat().st_size
+        assert len(fsyncs) == puts
+        assert temps == []
+        assert os.listdir(tmp_path) == ["sweep.jsonl"]
+        assert path.stat().st_ino == inode
+        with TrialJournal(path) as reopened:
+            assert len(reopened) == puts
+
+
+class TestCliStore:
+    def test_cache_and_resume_share_one_journal(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        metrics = tmp_path / "metrics.json"
+        assert main(["experiment", "fig5", "--quick",
+                     "--cache", str(store)]) == 0
+        cold = capsys.readouterr().out
+        assert main(["experiment", "fig5", "--quick", "--resume", str(store),
+                     "--metrics-out", str(metrics)]) == 0
+        warm = capsys.readouterr().out
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["runner.trials_executed"] == 0
+        assert counters["runner.trials_replayed"] == counters["runner.trials"]
+        assert "runner.trials_cached" not in counters
+        assert warm.startswith(f"resuming from {store}: ")
+        assert "journal: 0 replayed" in cold
+        assert f"recorded -> {store}" in warm

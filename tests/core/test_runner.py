@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.resultstore import SpecResultCache
+from repro.core.journal import TrialJournal
 from repro.core.runner import (
     BODY_CACHE_SIZE,
     ParallelTrialExecutor,
@@ -131,30 +131,34 @@ class TestTracing:
 
 
 class TestCache:
-    def test_cache_hits_skip_execution(self, tmp_path):
-        cache = SpecResultCache(tmp_path / "cache.jsonl")
-        plan = small_plan("tdx")
-        first = TrialRunner(cache=cache).run(plan)
-        assert cache.misses == len(plan)
+    """Re-runs against the trial journal (``--cache``/``--resume``)."""
 
-        cache2 = SpecResultCache(tmp_path / "cache.jsonl")
+    def test_cache_hits_skip_execution(self, tmp_path):
+        plan = small_plan("tdx")
+        with TrialJournal(tmp_path / "cache.jsonl") as journal:
+            first = TrialRunner(journal=journal).run(plan)
+            assert journal.recorded == len(plan)
 
         class Exploding:
             jobs = 1
 
             def map(self, fn, specs, on_result=None):
-                raise AssertionError("cache should have satisfied all specs")
+                raise AssertionError("journal should have satisfied all specs")
 
-        second = TrialRunner(executor=Exploding(), cache=cache2).run(plan)
-        assert cache2.hits == len(plan)
+        with TrialJournal(tmp_path / "cache.jsonl") as journal:
+            runner = TrialRunner(executor=Exploding(), journal=journal)
+            second = runner.run(plan)
+            assert journal.replayed == len(plan)
         assert dump(first) == dump(second)
+        counters = runner.metrics.snapshot()["counters"]
+        assert counters["runner.trials_replayed"] == len(plan)
+        assert counters["runner.trials_executed"] == 0
 
     def test_cache_keyed_by_spec(self, tmp_path):
-        cache = SpecResultCache(tmp_path / "cache.jsonl")
-        TrialRunner(cache=cache).run(small_plan("tdx", seed=0))
-        runner = TrialRunner(cache=cache)
-        runner.run(small_plan("tdx", seed=1))
-        assert cache.hits == 0
+        with TrialJournal(tmp_path / "cache.jsonl") as journal:
+            TrialRunner(journal=journal).run(small_plan("tdx", seed=0))
+            TrialRunner(journal=journal).run(small_plan("tdx", seed=1))
+            assert journal.replayed == 0
 
 
 class TestBodyCache:
@@ -349,9 +353,9 @@ class TestFaultInjection:
     def test_cache_reuses_faulted_results(self, tmp_path):
         cache_file = tmp_path / "cache.jsonl"
         plan = small_plan("tdx", trials=3, seed=3)
-        first = TrialRunner(cache=SpecResultCache(cache_file),
-                            faults=FAULT_SPEC).run(plan)
-        warm_cache = SpecResultCache(cache_file)
-        second = TrialRunner(cache=warm_cache, faults=FAULT_SPEC).run(plan)
+        with TrialJournal(cache_file) as journal:
+            first = TrialRunner(journal=journal, faults=FAULT_SPEC).run(plan)
+        with TrialJournal(cache_file) as warm:
+            second = TrialRunner(journal=warm, faults=FAULT_SPEC).run(plan)
+            assert warm.replayed == len(plan.specs)
         assert dump(first) == dump(second)
-        assert warm_cache.hits == len(plan.specs)
