@@ -515,6 +515,12 @@ def _cmd_experiment(args) -> int:
     small_workloads = ("cpustress", "memstress", "iostress", "logging",
                        "factors", "filesystem")
     small_langs = ("python", "lua", "go")
+    if args.name in ("fig6", "fig7", "fig8"):
+        # Only the FaaS figures load the workload and runtime registries.
+        from repro.experiments.fig6_heatmap import (
+            FIGURE_WORKLOAD_NAMES,
+            RUNTIME_NAMES,
+        )
     status = 0
     if args.name == "all":
         from repro.experiments.summary import run_evaluation
@@ -551,9 +557,9 @@ def _cmd_experiment(args) -> int:
         result = experiments.run_fig6(
             seed=args.seed,
             workloads=small_workloads if quick else
-            experiments.fig6_heatmap.FIGURE_WORKLOAD_NAMES,
+            FIGURE_WORKLOAD_NAMES,
             languages=small_langs if quick else
-            experiments.fig6_heatmap.RUNTIME_NAMES,
+            RUNTIME_NAMES,
             trials=trials(3 if quick else 10),
             runner=runner,
         )
@@ -562,9 +568,9 @@ def _cmd_experiment(args) -> int:
         result = experiments.run_fig7(
             seed=args.seed,
             workloads=small_workloads if quick else
-            experiments.fig6_heatmap.FIGURE_WORKLOAD_NAMES,
+            FIGURE_WORKLOAD_NAMES,
             languages=small_langs if quick else
-            experiments.fig6_heatmap.RUNTIME_NAMES,
+            RUNTIME_NAMES,
             trials=trials(3 if quick else 10),
             runner=runner,
         )
@@ -594,7 +600,7 @@ def _cmd_experiment(args) -> int:
         result = experiments.run_fig8(
             seed=args.seed,
             workloads=small_workloads if quick else
-            experiments.fig6_heatmap.FIGURE_WORKLOAD_NAMES,
+            FIGURE_WORKLOAD_NAMES,
             trials=trials(10),
             runner=runner,
         )

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
+
+SRC = Path(repro.__file__).resolve().parents[1]
 
 
 class TestPlatformsCommand:
@@ -90,6 +97,17 @@ class TestExperimentCommand:
     def test_fig6_quick(self, capsys):
         assert main(["experiment", "fig6", "--quick"]) == 0
         assert "cpustress" in capsys.readouterr().out
+
+    def test_fig8_full_workloads_in_fresh_interpreter(self):
+        # A fresh interpreter has not imported any harness module, so a
+        # lazily exported package attribute that nothing loaded is absent.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "experiment", "fig8",
+             "-t", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "whisker span" in proc.stdout
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
