@@ -118,16 +118,6 @@ class SourceModule:
                    pragmas=PragmaIndex.scan(text),
                    sha=hashlib.sha256(text.encode("utf-8")).hexdigest())
 
-    @property
-    def package(self) -> str:
-        """Top-level sub-package under ``repro`` ("hw", "core", ...);
-        the unit the layering DAG ranks.  Top-level modules like
-        ``repro.cli`` map to their own name ("cli")."""
-        parts = self.name.split(".")
-        if parts[0] != "repro" or len(parts) == 1:
-            return parts[0]
-        return parts[1]
-
 
 def module_name_for(path: Path) -> str:
     """Derive the dotted module name by walking up ``__init__.py`` dirs.

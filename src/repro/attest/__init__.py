@@ -64,11 +64,6 @@ from repro.attest.verifier import (
     TdxVerifier,
     VerificationResult,
 )
-from repro.attest.cca_token import (
-    RealmToken,
-    RealmTokenVerifier,
-    request_realm_token,
-)
 
 __all__ = [
     "RsaKeyPair",
@@ -105,7 +100,4 @@ __all__ = [
     "TdxVerifier",
     "SnpVerifier",
     "VerificationResult",
-    "RealmToken",
-    "RealmTokenVerifier",
-    "request_realm_token",
 ]

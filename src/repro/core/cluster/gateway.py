@@ -146,10 +146,6 @@ class ClusterReport:
         """Zero silently dropped: every request is in exactly one bucket."""
         return self.requests == self.served + self.degraded + self.shed
 
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.requests if self.requests else 0.0
-
     def to_dict(self) -> dict:
         """Canonical (sorted-key) form — what trial bodies return."""
         payload = {

@@ -83,8 +83,9 @@ class TrialJournal:
 
         A process killed mid-append leaves a final line without its
         trailing newline (or an incomplete JSON document); that line is
-        *truncated* so later appends start on a clean boundary.  Bad
-        lines elsewhere are skipped with a warning — the trials they
+        *truncated* so later appends start on a clean boundary.  A
+        crash tears at most that one line, so bad lines before it stay
+        in the file and are skipped with a warning — the trials they
         held simply run again.
         """
         if not self.path.exists():
@@ -101,10 +102,11 @@ class TrialJournal:
         # newline-stripped complete lines; byte-level so the truncation
         # offsets below stay exact even for undecodable content
         lines = raw[:keep].split(b"\n")[:-1] if keep else []
-        # a final newline-terminated line that does not parse is also
-        # torn (e.g. the flush landed but part of the write did not)
-        while lines and self._parse(lines[-1], len(lines),
-                                    final=True) is None:
+        # with its newline in place, a final line that does not parse
+        # is the torn one (e.g. the flush landed but part of the write
+        # did not)
+        if keep == len(raw) and lines and self._parse(
+                lines[-1], len(lines), final=True) is None:
             tail = lines.pop()
             keep -= len(tail) + 1
             self._warn(f"{self.path}: truncated torn final line "

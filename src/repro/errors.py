@@ -44,15 +44,6 @@ class TeeError(ConfBenchError):
     """Errors from TEE platform simulators."""
 
 
-class TeeUnsupportedError(TeeError):
-    """The requested operation is not available on this platform.
-
-    Example: requesting hardware attestation from the simulated CCA
-    platform, which (like the paper's FVP setup) lacks the required
-    hardware support.
-    """
-
-
 class VmError(TeeError):
     """VM lifecycle errors (not booted, double-destroy, bad state)."""
 

@@ -11,7 +11,7 @@ itself — means implementing this interface and registering it in
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import VmError
 from repro.guestos.context import NATIVE_PROFILE, CostProfile
@@ -107,63 +107,6 @@ class TeePlatform(abc.ABC):
             config=config if config is not None else VmConfig(),
         )
 
-    # -- attestation hooks --------------------------------------------------
-
-    def attestation_device(self):
-        """The guest-visible attestation device, or raise.
-
-        Overridden by TDX (TDREPORT via TDCALL) and SEV-SNP (AMD-SP
-        report requests).  The base implementation raises, matching
-        platforms without attestation support.
-        """
-        from repro.errors import TeeUnsupportedError
-
-        raise TeeUnsupportedError(
-            f"platform {self.name!r} does not expose an attestation device"
-        )
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seed={self.seed})"
 
-
-@dataclass
-class TransitionStats:
-    """Counts of TEE-specific transition events (per platform object)."""
-
-    tdcalls: int = 0
-    seamcalls: int = 0
-    seamrets: int = 0
-    vmexits: int = 0
-    rmi_calls: int = 0
-    rsi_calls: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
-
-    _FIELDS = ("tdcalls", "seamcalls", "seamrets", "vmexits",
-               "rmi_calls", "rsi_calls")
-
-    def record(self, name: str, count: int = 1) -> None:
-        """Record ``count`` transition events of one kind in one call.
-
-        ``name`` is either a declared field (``tdcalls``, ``vmexits``,
-        ...) or a free-form key folded into :attr:`extra` (interface
-        leaf names like ``TDG.VP.VMCALL``).  Firmware models call this
-        once per *batch* of transitions rather than once per event, so
-        a batched run's bookkeeping costs one increment, not N.
-        """
-        if count < 0:
-            raise VmError(f"negative transition count: {count}")
-        if name in self._FIELDS:
-            setattr(self, name, getattr(self, name) + count)
-        else:
-            self.extra[name] = self.extra.get(name, 0) + count
-
-    def total(self) -> int:
-        """All declared transition events (``extra`` keys excluded —
-        they re-count events already tallied in a declared field)."""
-        return sum(getattr(self, name) for name in self._FIELDS)
-
-    def as_dict(self) -> dict[str, int]:
-        """JSON-able counts: declared fields first, then extras."""
-        payload = {name: getattr(self, name) for name in self._FIELDS}
-        payload.update(sorted(self.extra.items()))
-        return payload

@@ -1,30 +1,35 @@
 """AMD SEV-SNP platform simulator.
 
-Models the SNP mechanisms §II describes:
+The one place SEV-SNP is priced is :meth:`SevSnpPlatform.secure_profile`,
+the :class:`~repro.guestos.context.CostProfile` the guest executor
+charges every op from (§II's mechanisms, as costs):
 
-- The **Reverse Map Table (RMP)**: one entry per physical page
-  recording its owner; assignment and validation are explicit steps
-  and every nested-page-table walk checks it.
-- **VM Privilege Levels (VMPLs)**: four per-guest privilege levels,
-  ordered; VMPL0 is the most privileged (e.g. an SVSM would live
-  there).
-- **Shared (unencrypted) pages** a guest can expose for I/O.
-- The **AMD Secure Processor (AMD-SP)**: the dedicated coprocessor
-  that signs attestation reports with the chip's VCEK.  Report
-  requests go firmware-mailbox style, with no external network — the
-  reason SNP attestation is fast in the paper's Fig. 5.
+- **RMP-checked** private memory: the Reverse Map Table lookup on
+  every nested-page-table walk shows up as memory-access and
+  cache-miss overhead, not as per-page state (a default 4 GiB guest
+  would need a million entries per boot);
+- a VMEXIT/VMRUN pair on every halt/wake and virtio kick;
+- **shared (unencrypted) SWIOTLB pages** for I/O, a cheaper copy than
+  TDX's bounce buffers.
+
+:class:`AmdSecureProcessor` keeps only what the attestation path
+reads: the chip id and the launch measurement it binds into a report
+request (:class:`SnpReportRequest`, carrying the requesting
+:class:`Vmpl`), plus the firmware-mailbox cost the report generator
+charges.  Requests go mailbox style, with no external network — the
+reason SNP attestation is fast in the paper's Fig. 5.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TeeError
 from repro.guestos.context import CostProfile
 from repro.hw.machine import Machine, epyc_9124
-from repro.tee.base import PlatformInfo, TeePlatform, TransitionStats
+from repro.tee.base import PlatformInfo, TeePlatform
 
 
 class Vmpl(enum.IntEnum):
@@ -34,92 +39,6 @@ class Vmpl(enum.IntEnum):
     VMPL1 = 1
     VMPL2 = 2
     VMPL3 = 3
-
-
-class PageState(enum.Enum):
-    """RMP ownership states of a guest physical page."""
-
-    HYPERVISOR = "hypervisor"   # untrusted, default
-    GUEST_INVALID = "guest_invalid"   # assigned, not yet validated
-    GUEST_VALID = "guest_valid"       # assigned + validated (private)
-    SHARED = "shared"                 # guest opted into sharing
-
-
-@dataclass
-class RmpEntry:
-    """One Reverse Map Table record."""
-
-    owner_asid: int
-    state: PageState
-    vmpl: Vmpl = Vmpl.VMPL0
-
-
-class ReverseMapTable:
-    """The RMP: page-granular ownership and validation tracking.
-
-    Enforces the SNP state machine: a page must be *assigned* by the
-    hypervisor and then *validated* by the guest (PVALIDATE) before
-    private use; double validation and use-before-validation are
-    errors, mirroring the real integrity guarantees.
-    """
-
-    CHECK_COST_NS = 18.0          # per-access RMP walk overhead
-    ASSIGN_COST_NS = 950.0        # RMPUPDATE
-    PVALIDATE_COST_NS = 1_100.0   # guest-side PVALIDATE
-
-    def __init__(self) -> None:
-        self._entries: dict[int, RmpEntry] = {}
-        self.checks = 0
-
-    def assign(self, gpa_page: int, asid: int, vmpl: Vmpl = Vmpl.VMPL0) -> float:
-        """Hypervisor assigns a page to a guest (RMPUPDATE)."""
-        entry = self._entries.get(gpa_page)
-        if entry is not None and entry.state is PageState.GUEST_VALID:
-            raise TeeError(f"page {gpa_page:#x} is validated; cannot reassign")
-        self._entries[gpa_page] = RmpEntry(owner_asid=asid,
-                                           state=PageState.GUEST_INVALID,
-                                           vmpl=vmpl)
-        return self.ASSIGN_COST_NS
-
-    def pvalidate(self, gpa_page: int, asid: int) -> float:
-        """Guest validates an assigned page (PVALIDATE)."""
-        entry = self._entries.get(gpa_page)
-        if entry is None or entry.owner_asid != asid:
-            raise TeeError(f"page {gpa_page:#x} not assigned to ASID {asid}")
-        if entry.state is PageState.GUEST_VALID:
-            raise TeeError(f"page {gpa_page:#x} already validated (replay?)")
-        if entry.state is PageState.SHARED:
-            raise TeeError(f"page {gpa_page:#x} is shared; unshare first")
-        entry.state = PageState.GUEST_VALID
-        return self.PVALIDATE_COST_NS
-
-    def share(self, gpa_page: int, asid: int) -> float:
-        """Guest flips a private page to shared (unencrypted)."""
-        entry = self._entries.get(gpa_page)
-        if entry is None or entry.owner_asid != asid:
-            raise TeeError(f"page {gpa_page:#x} not assigned to ASID {asid}")
-        entry.state = PageState.SHARED
-        return self.ASSIGN_COST_NS
-
-    def check_access(self, gpa_page: int, asid: int) -> float:
-        """Per-access ownership check (the nested walk's RMP lookup)."""
-        self.checks += 1
-        entry = self._entries.get(gpa_page)
-        if entry is None:
-            raise TeeError(f"page {gpa_page:#x} has no RMP entry")
-        if entry.state is PageState.GUEST_VALID and entry.owner_asid != asid:
-            raise TeeError(
-                f"RMP violation: ASID {asid} touched page {gpa_page:#x} "
-                f"owned by {entry.owner_asid}"
-            )
-        if entry.state is PageState.GUEST_INVALID:
-            raise TeeError(f"page {gpa_page:#x} used before PVALIDATE")
-        return self.CHECK_COST_NS
-
-    def state_of(self, gpa_page: int) -> PageState:
-        """Current state of a page (HYPERVISOR when untracked)."""
-        entry = self._entries.get(gpa_page)
-        return entry.state if entry is not None else PageState.HYPERVISOR
 
 
 @dataclass
@@ -140,7 +59,6 @@ class AmdSecureProcessor:
 
     chip_id: str = "epyc-9124-chip-0"
     MAILBOX_COST_NS: float = 3_500_000.0     # firmware call, ~3.5 ms
-    stats: TransitionStats = field(default_factory=TransitionStats)
 
     def measurement_for(self, guest_identity: str) -> bytes:
         """Launch digest of a guest (SHA-384 of its identity here)."""
@@ -153,7 +71,6 @@ class AmdSecureProcessor:
             raise TeeError(
                 f"report_data must be <= 64 bytes, got {len(request.report_data)}"
             )
-        self.stats.record("report_requests")
         return {
             "measurement": self.measurement_for(guest_identity),
             "report_data": request.report_data.ljust(64, b"\0"),
@@ -166,11 +83,6 @@ class SevSnpPlatform(TeePlatform):
     """AMD SEV-SNP on the paper's EPYC 9124 host."""
 
     name = "sev-snp"
-
-    def __init__(self, seed: int = 0) -> None:
-        super().__init__(seed)
-        self.rmp = ReverseMapTable()
-        self.amd_sp = AmdSecureProcessor()
 
     def info(self) -> PlatformInfo:
         return PlatformInfo(

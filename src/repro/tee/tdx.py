@@ -1,21 +1,22 @@
 """Intel TDX platform simulator.
 
-Models the pieces §II describes:
+The one place TDX is priced is :meth:`TdxPlatform.secure_profile`, the
+:class:`~repro.guestos.context.CostProfile` the guest executor charges
+every op from (§II's mechanisms, as costs):
 
-- The **TDX Module** living in reserved memory, running in SEAM root
-  mode.  Trusted Domains (TDs) call into it with ``TDCALL``; the
-  hypervisor calls it with ``SEAMCALL`` and the module returns with
-  ``SEAMRET``.  Each of these is a priced world switch.
-- TD memory is **encrypted and integrity-protected** and only
-  manageable through the module.
-- I/O leaves the protected space through **bounce buffers** in shared
-  memory — the paper's explanation for TDX's iostress penalty
-  (TDX Connect will eventually remove this copy).
-- A **firmware performance model**: the paper reports that upgrading
-  to ``TDX_1.5.05.46.698`` improved runtime up to 10×; older firmware
-  is therefore available here as a configuration for the ablation
-  bench.
-- ``TDREPORT`` generation for the attestation stack.
+- a **world switch** through the TDX Module in SEAM mode on every
+  halt/wake and virtio kick, its price set by the loaded firmware;
+- **encrypted, integrity-protected** TD memory;
+- **bounce-buffer** copies for I/O leaving the protected space — the
+  paper's explanation for TDX's iostress penalty (TDX Connect will
+  eventually remove this copy).
+
+:class:`TdxModule` keeps only what a run reads: the loaded firmware
+(the paper reports that upgrading to ``TDX_1.5.05.46.698`` improved
+runtime up to 10×, so older firmware is available for the ablation
+bench), the transition cost that firmware implies, and a count of the
+TDCALLs for ``TDG.MR.REPORT``, the one guest-to-module call the
+attestation path makes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from repro.errors import TeeError
 from repro.guestos.context import CostProfile
 from repro.hw.machine import Machine, xeon_gold_5515
-from repro.tee.base import PlatformInfo, TeePlatform, TransitionStats
+from repro.tee.base import PlatformInfo, TeePlatform
 
 #: The firmware the paper's final numbers use.
 GOOD_FIRMWARE = "TDX_1.5.05.46.698"
@@ -55,9 +56,8 @@ class TdReport:
 class TdxModule:
     """The TDX Module: SEAM-root intermediary between VMM and TDs.
 
-    Counts transitions so experiments can correlate overhead with
-    TDCALL/SEAMCALL frequency, and prices each transition according to
-    the loaded firmware.
+    Holds the loaded firmware, which sets the price of a world switch,
+    and counts the TDCALLs the attestation path makes through it.
     """
 
     #: Baseline cost of one SEAM transition on good firmware (ns).
@@ -68,33 +68,13 @@ class TdxModule:
             known = ", ".join(sorted(_FIRMWARE_TRANSITION_FACTOR))
             raise TeeError(f"unknown TDX firmware {firmware!r}; known: {known}")
         self.firmware = firmware
-        self.stats = TransitionStats()
+        #: TDCALLs made through this module (one per TDREPORT)
+        self.tdcalls = 0
 
     @property
     def transition_cost_ns(self) -> float:
         """Cost of one world switch under the loaded firmware."""
         return self.BASE_TRANSITION_NS * _FIRMWARE_TRANSITION_FACTOR[self.firmware]
-
-    def tdcall(self, leaf: str, count: int = 1) -> float:
-        """TD(s) requesting a module service (SEAM non-root -> root).
-
-        ``count > 1`` records a batch of identical calls in one
-        bookkeeping step; the returned cost covers the whole batch.
-        """
-        self.stats.record("tdcalls", count)
-        self.stats.record(leaf, count)
-        return self.transition_cost_ns * count
-
-    def seamcall(self, leaf: str, count: int = 1) -> float:
-        """The hypervisor calling into the module (VMX root -> SEAM)."""
-        self.stats.record("seamcalls", count)
-        self.stats.record(leaf, count)
-        return self.transition_cost_ns * count
-
-    def seamret(self, count: int = 1) -> float:
-        """The module returning to the hypervisor."""
-        self.stats.record("seamrets", count)
-        return self.transition_cost_ns * 0.5 * count
 
     def generate_tdreport(self, report_data: bytes, td_identity: str) -> TdReport:
         """TDG.MR.REPORT: produce a TDREPORT bound to ``report_data``.
@@ -104,7 +84,7 @@ class TdxModule:
         """
         if len(report_data) > 64:
             raise TeeError(f"report_data must be <= 64 bytes, got {len(report_data)}")
-        self.tdcall("TDG.MR.REPORT")
+        self.tdcalls += 1
         padded = report_data.ljust(64, b"\0")
         mrtd = hashlib.sha384(f"mrtd:{td_identity}".encode()).digest()
         rtmr = tuple(

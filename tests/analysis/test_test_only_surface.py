@@ -1,4 +1,4 @@
-"""Guard: no ``src/`` definition may exist only for the tests.
+"""Guard: every ``src/`` definition has a caller outside the tests.
 
 The scan collects every function, method and class name defined under
 ``src/`` and the names that real code uses: identifiers in ``src/``
@@ -8,6 +8,14 @@ its ``test_*`` files, and the ``benchmarks/`` paper benches.  A name
 that only ``tests/`` refers to is test-only surface and fails the
 guard: delete it together with the tests that exercise it, or give it
 a real caller.
+
+A name that nothing refers to at all, tests included, is dead code and
+fails the guard too.  Two kinds of definition are reached without
+their name being written, so the dead-code check exempts them by rule:
+a def under a decorator other than ``property``, ``staticmethod`` or
+``classmethod`` (the decorator may register it, as ``@body_factory``
+does the trial bodies), and a method the standard library or a
+dispatcher looks up by name (:data:`DISPATCHED_PREFIXES`).
 
 The scan matches bare names, so a method shares its fate with every
 same-named attribute in the tree.  Names with a non-test caller need
@@ -45,24 +53,16 @@ ALLOWED_TEST_ONLY = {
     # Trust-boundary model (ROADMAP): attacker actions it will drive.
     "revoke": "CertificateAuthority revocation, a trust-boundary action",
     "tamper": "Registry tampering, a trust-boundary action",
-    # TEE mechanisms: the ROADMAP puts each on the executed path or
-    # deletes it with its tests.
-    "attestation_device": "TeePlatform attestation device",
-    "RealmTokenVerifier": "CCA realm token flow (attest/cca_token.py)",
-    "request_realm_token": "CCA realm token flow (attest/cca_token.py)",
-    "assign": "SEV-SNP ReverseMapTable",
-    "pvalidate": "SEV-SNP ReverseMapTable",
-    "check_access": "SEV-SNP ReverseMapTable",
-    "state_of": "SEV-SNP ReverseMapTable",
-    "rmi_realm_create": "CCA RealmManagementMonitor",
-    "rmi_granule_delegate": "CCA RealmManagementMonitor",
-    "rmi_realm_activate": "CCA RealmManagementMonitor",
-    "rmi_realm_destroy": "CCA RealmManagementMonitor",
-    "rsi_ipa_state_set": "CCA RealmManagementMonitor",
-    "access_overhead_ns": "CCA StageTwoTranslation",
-    "seamcall": "TdxModule SEAMCALL",
-    "seamret": "TdxModule SEAMRET",
 }
+
+#: Method-name prefixes called by name lookup, never written out:
+#: ``ast.NodeVisitor`` (``visit_``), ``BaseHTTPRequestHandler``
+#: (``do_`` and ``log_message``) and the REST route table
+#: (``_handle_``).
+DISPATCHED_PREFIXES = ("visit_", "do_", "_handle_", "log_message")
+
+#: Decorators that only wrap a method; any other one may register it.
+_DESCRIPTORS = {"property", "staticmethod", "classmethod"}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -97,10 +97,20 @@ def _non_test_callers() -> list[Path]:
             *sorted((REPO / "benchmarks").rglob("*.py"))]
 
 
-def scan() -> tuple[dict[str, str], set[str], set[str]]:
-    """``(defined name -> first location, real uses, test uses)``."""
+def _registered(node: ast.AST) -> bool:
+    """Whether a decorator other than a plain descriptor wraps ``node``
+    (``@body_factory("faas")`` registers the def it decorates)."""
+    return any(not (isinstance(decorator, ast.Name)
+                    and decorator.id in _DESCRIPTORS)
+               for decorator in node.decorator_list)
+
+
+def scan() -> tuple[dict[str, str], set[str], set[str], set[str]]:
+    """``(defined name -> first location, real uses, test uses,
+    names reached without being written)``."""
     defined: dict[str, str] = {}
     used: set[str] = set()
+    reached: set[str] = set()
     for path in sorted((REPO / "src").rglob("*.py")):
         defs: list[ast.AST] = []
         # imports are not uses: an ``__init__`` re-export calls nothing
@@ -109,16 +119,19 @@ def scan() -> tuple[dict[str, str], set[str], set[str]]:
             if not (node.name.startswith("__") and node.name.endswith("__")):
                 defined.setdefault(
                     node.name, f"{path.relative_to(REPO)}:{node.lineno}")
+                if (node.name.startswith(DISPATCHED_PREFIXES)
+                        or _registered(node)):
+                    reached.add(node.name)
     for path in _non_test_callers():
         used |= _names(_parse(path), with_imports=True)
     tested: set[str] = set()
     for path in sorted((REPO / "tests").rglob("*.py")):
         tested |= _names(_parse(path), with_imports=True)
-    return defined, used, tested
+    return defined, used, tested, reached
 
 
 def test_src_has_no_test_only_surface():
-    defined, used, tested = scan()
+    defined, used, tested, _ = scan()
     test_only = {name: where for name, where in defined.items()
                  if name not in used and name in tested}
     unexplained = sorted(f"{name} ({where})"
@@ -131,3 +144,13 @@ def test_src_has_no_test_only_surface():
     assert not stale, (
         "allowlisted names that gained a real caller or are gone; drop "
         "them from ALLOWED_TEST_ONLY: " + ", ".join(stale))
+
+
+def test_src_has_no_dead_definition():
+    defined, used, tested, reached = scan()
+    dead = sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in used and name not in tested
+                  and name not in reached)
+    assert not dead, (
+        "nothing refers to these src/ names; delete them:\n  "
+        + "\n  ".join(dead))

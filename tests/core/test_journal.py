@@ -163,6 +163,21 @@ class TestCrashRecovery:
         assert any("skipped" in note for note in journal.warnings)
         journal.close()
 
+    def test_only_the_final_bad_line_is_truncated(self, tmp_path):
+        """A crash tears one line: earlier bad lines stay, skipped."""
+        path, plan = self._journaled(tmp_path)
+        journaled = path.read_bytes()
+        path.write_bytes(journaled + b"alpha\nbeta\ngamma\n")
+        with pytest.warns(UserWarning) as caught:
+            journal = TrialJournal(path)
+        notes = [str(warning.message) for warning in caught]
+        assert sum("torn final line" in note for note in notes) == 1
+        assert sum("skipped corrupt journal line" in note
+                   for note in notes) == 2
+        assert len(journal) == len(plan.specs)
+        journal.close()
+        assert path.read_bytes() == journaled + b"alpha\nbeta\n"
+
     def test_recovered_journal_still_resumes_identically(self, tmp_path):
         path, plan = self._journaled(tmp_path, trials=3)
         baseline = TrialRunner().run(plan)

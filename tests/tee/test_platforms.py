@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NoSuchPlatformError, TeeUnsupportedError
+from repro.errors import NoSuchPlatformError
 from repro.guestos.context import CostProfile
 from repro.tee import (
     CcaPlatform,
@@ -127,15 +127,11 @@ class TestProfiles:
             assert profile.halt_transition_ns > 0.0
             assert profile.io_transition_ns > 0.0
 
-
-class TestAttestationDevice:
-    def test_cca_attestation_unsupported(self):
-        with pytest.raises(TeeUnsupportedError):
-            CcaPlatform().attestation_device()
-
-    def test_base_platform_attestation_unsupported(self):
-        with pytest.raises(TeeUnsupportedError):
-            NormalVmPlatform().attestation_device()
+    def test_cca_rmm_world_switch_prices(self):
+        """A realm halt is two RMI switches, an I/O kick one RSI switch."""
+        profile = CcaPlatform().secure_profile()
+        assert profile.halt_transition_ns == 18_000.0
+        assert profile.io_transition_ns == 7_000.0
 
 
 class TestDeterminism:

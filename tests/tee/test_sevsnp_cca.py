@@ -1,93 +1,11 @@
-"""Tests for the SEV-SNP RMP/AMD-SP and CCA RMM simulators."""
+"""Tests for the SEV-SNP AMD-SP and the CCA FVP layer."""
 
 import pytest
 
 from repro.errors import TeeError
-from repro.tee.cca import (
-    CcaPlatform,
-    RealmManagementMonitor,
-    RealmState,
-    StageTwoTranslation,
-)
+from repro.tee.cca import CcaPlatform
 from repro.tee.fvp import FvpSimulator
-from repro.tee.sevsnp import (
-    AmdSecureProcessor,
-    PageState,
-    ReverseMapTable,
-    SevSnpPlatform,
-    SnpReportRequest,
-    Vmpl,
-)
-
-
-class TestReverseMapTable:
-    def test_untracked_page_is_hypervisor_owned(self):
-        assert ReverseMapTable().state_of(0x1000) is PageState.HYPERVISOR
-
-    def test_assign_then_validate(self):
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5)
-        assert rmp.state_of(0x1000) is PageState.GUEST_INVALID
-        rmp.pvalidate(0x1000, asid=5)
-        assert rmp.state_of(0x1000) is PageState.GUEST_VALID
-
-    def test_use_before_validate_rejected(self):
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5)
-        with pytest.raises(TeeError):
-            rmp.check_access(0x1000, asid=5)
-
-    def test_double_validate_rejected(self):
-        """Replay protection: PVALIDATE twice is the classic SNP attack."""
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5)
-        rmp.pvalidate(0x1000, asid=5)
-        with pytest.raises(TeeError):
-            rmp.pvalidate(0x1000, asid=5)
-
-    def test_cross_asid_access_rejected(self):
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5)
-        rmp.pvalidate(0x1000, asid=5)
-        with pytest.raises(TeeError):
-            rmp.check_access(0x1000, asid=6)
-
-    def test_owner_access_allowed_and_counted(self):
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5)
-        rmp.pvalidate(0x1000, asid=5)
-        assert rmp.check_access(0x1000, asid=5) > 0
-        assert rmp.checks == 1
-
-    def test_validate_unassigned_rejected(self):
-        with pytest.raises(TeeError):
-            ReverseMapTable().pvalidate(0x2000, asid=1)
-
-    def test_reassign_validated_page_rejected(self):
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5)
-        rmp.pvalidate(0x1000, asid=5)
-        with pytest.raises(TeeError):
-            rmp.assign(0x1000, asid=6)
-
-    def test_shared_pages_accessible_across_asids(self):
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5)
-        rmp.share(0x1000, asid=5)
-        assert rmp.state_of(0x1000) is PageState.SHARED
-        rmp.check_access(0x1000, asid=6)   # no error: shared memory
-
-    def test_validate_shared_page_rejected(self):
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5)
-        rmp.share(0x1000, asid=5)
-        with pytest.raises(TeeError):
-            rmp.pvalidate(0x1000, asid=5)
-
-    def test_vmpl_recorded(self):
-        rmp = ReverseMapTable()
-        rmp.assign(0x1000, asid=5, vmpl=Vmpl.VMPL2)
-        assert rmp._entries[0x1000].vmpl is Vmpl.VMPL2
+from repro.tee.sevsnp import AmdSecureProcessor, SnpReportRequest, Vmpl
 
 
 class TestAmdSp:
@@ -117,90 +35,6 @@ class TestAmdSp:
         assert body["vmpl"] == 3
 
 
-class TestRmm:
-    def test_realm_lifecycle(self):
-        rmm = RealmManagementMonitor()
-        realm, _ = rmm.rmi_realm_create("r1")
-        assert realm.state is RealmState.NEW
-        rmm.rmi_granule_delegate(realm.rid, 1024)
-        assert realm.granules == 1024
-        rmm.rmi_realm_activate(realm.rid)
-        assert realm.state is RealmState.ACTIVE
-        rmm.rmi_realm_destroy(realm.rid)
-        assert realm.state is RealmState.DESTROYED
-        assert realm.granules == 0
-
-    def test_double_activate_rejected(self):
-        rmm = RealmManagementMonitor()
-        realm, _ = rmm.rmi_realm_create("r1")
-        rmm.rmi_realm_activate(realm.rid)
-        with pytest.raises(TeeError):
-            rmm.rmi_realm_activate(realm.rid)
-
-    def test_destroy_twice_rejected(self):
-        rmm = RealmManagementMonitor()
-        realm, _ = rmm.rmi_realm_create("r1")
-        rmm.rmi_realm_destroy(realm.rid)
-        with pytest.raises(TeeError):
-            rmm.rmi_realm_destroy(realm.rid)
-
-    def test_unknown_realm_rejected(self):
-        with pytest.raises(TeeError):
-            RealmManagementMonitor().rmi_realm_activate(99)
-
-    def test_attestation_token_unsigned_on_fvp(self):
-        """FVP lacks signing hardware — token comes back unsigned."""
-        rmm = RealmManagementMonitor()
-        realm, _ = rmm.rmi_realm_create("r1")
-        rmm.rmi_realm_activate(realm.rid)
-        token, cost = rmm.rsi_attestation_token(realm.rid, b"nonce")
-        assert token["signed"] is False
-        assert token["challenge"].startswith(b"nonce")
-        assert cost > 0
-
-    def test_attestation_token_requires_active_realm(self):
-        rmm = RealmManagementMonitor()
-        realm, _ = rmm.rmi_realm_create("r1")
-        with pytest.raises(TeeError):
-            rmm.rsi_attestation_token(realm.rid, b"n")
-
-    def test_challenge_limit(self):
-        rmm = RealmManagementMonitor()
-        realm, _ = rmm.rmi_realm_create("r1")
-        rmm.rmi_realm_activate(realm.rid)
-        with pytest.raises(TeeError):
-            rmm.rsi_attestation_token(realm.rid, b"x" * 65)
-
-    def test_call_stats(self):
-        rmm = RealmManagementMonitor()
-        realm, _ = rmm.rmi_realm_create("r1")
-        rmm.rmi_realm_activate(realm.rid)
-        rmm.rsi_attestation_token(realm.rid, b"")
-        assert rmm.stats.rmi_calls == 2
-        assert rmm.stats.rsi_calls == 1
-
-    def test_ipa_state_set_scales_with_pages(self):
-        rmm = RealmManagementMonitor()
-        realm, _ = rmm.rmi_realm_create("r1")
-        rmm.rmi_realm_activate(realm.rid)
-        small = rmm.rsi_ipa_state_set(realm.rid, 1)
-        large = rmm.rsi_ipa_state_set(realm.rid, 1000)
-        assert large > small
-
-
-class TestStageTwo:
-    def test_overhead_scales_with_accesses(self):
-        stage2 = StageTwoTranslation()
-        assert stage2.access_overhead_ns(10_000) > stage2.access_overhead_ns(10)
-
-    def test_zero_accesses_zero_cost(self):
-        assert StageTwoTranslation().access_overhead_ns(0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(TeeError):
-            StageTwoTranslation().access_overhead_ns(-1)
-
-
 class TestFvp:
     def test_fvp_cannot_be_faster_than_hardware(self):
         with pytest.raises(TeeError):
@@ -218,10 +52,3 @@ class TestFvp:
         fvp = FvpSimulator(slowdown=20.0)
         platform = CcaPlatform(fvp=fvp)
         assert platform.secure_profile().simulator_multiplier == 20.0
-
-
-class TestSnpPlatformWiring:
-    def test_platform_has_rmp_and_sp(self):
-        platform = SevSnpPlatform()
-        assert isinstance(platform.rmp, ReverseMapTable)
-        assert isinstance(platform.amd_sp, AmdSecureProcessor)

@@ -12,23 +12,8 @@ from repro.tee.tdx import (
 
 
 class TestTdxModule:
-    def test_tdcall_counts(self):
-        module = TdxModule()
-        module.tdcall("TDG.VP.VMCALL")
-        module.tdcall("TDG.VP.VMCALL")
-        assert module.stats.tdcalls == 2
-        assert module.stats.extra["TDG.VP.VMCALL"] == 2
-
-    def test_seamcall_and_seamret(self):
-        module = TdxModule()
-        cost_call = module.seamcall("TDH.VP.ENTER")
-        cost_ret = module.seamret()
-        assert module.stats.seamcalls == 1
-        assert module.stats.seamrets == 1
-        assert cost_ret < cost_call
-
     def test_transition_cost_positive(self):
-        assert TdxModule().tdcall("X") > 0
+        assert TdxModule().transition_cost_ns > 0
 
     def test_old_firmware_is_10x_slower(self):
         """The paper saw ~10x runtime boosts from the firmware upgrade."""
@@ -75,7 +60,7 @@ class TestTdReport:
     def test_generation_is_a_tdcall(self):
         module = TdxModule()
         module.generate_tdreport(b"", "td")
-        assert module.stats.tdcalls == 1
+        assert module.tdcalls == 1
 
 
 class TestTdxPlatformFirmware:
