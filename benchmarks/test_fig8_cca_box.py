@@ -10,21 +10,21 @@ Shape assertions:
 - box summaries are well-formed.
 """
 
+from repro.core.runner import TrialPlan, TrialRunner
 from repro.experiments import run_fig8
-from repro.experiments.common import make_pair, PAPER_TRIALS
+from repro.experiments.common import PAPER_TRIALS, matched_cells
 from repro.experiments.fig8_cca_box import Fig8Result
-from repro.experiments.common import faas_ratio
 
 
 def _tdx_whisker_span(workloads, trials=PAPER_TRIALS) -> float:
     """Mean relative whisker span of secure TDX runs (comparison)."""
-    pair = make_pair("tdx", seed=1)
+    plan = TrialPlan.matrix(kind="faas", platforms=("tdx",),
+                            workloads=workloads, runtimes=("python",),
+                            trials=trials, seed=1, secure_modes=(True,))
     result = Fig8Result(language="python")
-    for workload in workloads:
-        _, secure_times, normal_times = faas_ratio(pair, workload, "python",
-                                                   trials=trials)
-        result.samples[workload] = {"secure": secure_times,
-                                    "normal": normal_times}
+    for (_, workload, _), sides in matched_cells(TrialRunner(), plan).items():
+        result.samples[workload] = {
+            "secure": [run.elapsed_ns for run in sides["secure"]]}
     return result.mean_whisker_span("secure")
 
 

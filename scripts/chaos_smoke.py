@@ -60,7 +60,8 @@ CLUSTER_FAULTS = "host-crash=0.6,zone-partition=0.5,seed=13"
 #:                runs: an output flag ("--trace-out" for fig5's trace
 #:                export) or "stdout" (the rendered figure; used for
 #:                fig9, whose metrics snapshot legitimately gains
-#:                ``journal.*`` counters on a resumed run);
+#:                the ``runner.trials_replayed`` counter on a resumed
+#:                run);
 #:   extra      — additional CLI flags (e.g. ``--quick``).
 SCENARIOS = {
     "serial-clean": {

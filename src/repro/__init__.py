@@ -37,7 +37,6 @@ _EXPORTS = {
     "PlatformEntry": "repro.core.config",
     "default_config": "repro.core.config",
     "Gateway": "repro.core.gateway",
-    "GatewayStats": "repro.core.gateway",
     "InvocationRequest": "repro.core.gateway",
     "InvocationRecord": "repro.core.results",
     "MetricsRegistry": "repro.obs.metrics",

@@ -43,7 +43,6 @@ _EXPORTS = {
     "GatewayConfig": "repro.core.config",
     "PlatformEntry": "repro.core.config",
     "Gateway": "repro.core.gateway",
-    "GatewayStats": "repro.core.gateway",
     "InvocationRequest": "repro.core.gateway",
     "Host": "repro.core.host",
     "FunctionLauncher": "repro.core.launcher",

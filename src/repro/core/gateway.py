@@ -22,7 +22,6 @@ from repro.core.launcher import FunctionLauncher, native_launcher
 from repro.core.monitor import PerfMonitor
 from repro.core.pool import LoadBalancingPolicy, TeePool
 from repro.core.results import InvocationRecord
-from repro.core.runner import TrialRunner
 from repro.core.storage import FunctionStore
 from repro.errors import GatewayError, OverloadedError, PoolExhaustedError
 from repro.obs.metrics import MetricsRegistry
@@ -36,35 +35,10 @@ from repro.tee.vm import RunResult
 SHED_RETRY_NS_PER_TRIAL = 50_000_000.0
 
 
-@dataclass
-class GatewayStats:
-    """Supervision counters the gateway keeps across invocations.
-
-    Every requested trial lands in exactly one of the three outcome
-    buckets — completed, degraded, or shed — so
-    ``trials_requested == trials_completed + trials_degraded +
-    trials_shed`` always holds.
-    """
-
-    invocations: int = 0
-    trials_requested: int = 0
-    trials_completed: int = 0
-    trials_degraded: int = 0
-    trials_shed: int = 0
-    #: whole invocations refused at admission (HTTP 429): their trials
-    #: never entered the queue, so they are *not* in trials_requested
-    invocations_rejected: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        """JSON-able form (what GET /stats would return)."""
-        return {
-            "invocations": self.invocations,
-            "trials_requested": self.trials_requested,
-            "trials_completed": self.trials_completed,
-            "trials_degraded": self.trials_degraded,
-            "trials_shed": self.trials_shed,
-            "invocations_rejected": self.invocations_rejected,
-        }
+#: the supervision counters ``Gateway.stats()`` reports, in
+#: ``GET /v1/stats`` order; each is the registry counter ``gateway.<key>``
+_STATS_KEYS = ("invocations", "trials_requested", "trials_completed",
+               "trials_degraded", "trials_shed", "invocations_rejected")
 
 
 @dataclass
@@ -83,15 +57,10 @@ class Gateway:
     """Receives, dispatches, and returns workload requests."""
 
     def __init__(self, config: GatewayConfig | None = None,
-                 runner: TrialRunner | None = None,
                  faults: "FaultPlan | str | None" = None,
                  max_pending: int | None = None,
                  attest_launches: bool = False) -> None:
         self.config = config if config is not None else default_config()
-        # Gateway trials run against long-lived pool VMs (stateful),
-        # so they go through the runner's in-process trial loop rather
-        # than the spec-parallel path.
-        self.runner = runner if runner is not None else TrialRunner()
         self.faults = FaultPlan.parse(faults) if faults is not None else None
         if max_pending is not None and max_pending < 1:
             raise GatewayError(
@@ -110,13 +79,11 @@ class Gateway:
         #: deterministic drain-time hint.
         self._backlog_lock = threading.Lock()
         self._backlog_trials = 0
-        self.stats = GatewayStats()
-        #: unified telemetry registry (shared with the runner and every
-        #: pool) — what ``GET /v1/metrics`` and ``ConfBench.metrics()``
-        #: serve
-        self.metrics = (self.runner.metrics
-                        if getattr(self.runner, "metrics", None) is not None
-                        else MetricsRegistry())
+        #: unified telemetry registry (shared with every pool and
+        #: attestor) — what ``GET /v1/metrics`` and
+        #: ``ConfBench.metrics()`` serve, and where :meth:`stats` reads
+        #: the ``gateway.*`` supervision counters
+        self.metrics = MetricsRegistry()
         #: every RunResult produced through this gateway, in invocation
         #: order — the trace/profile exporters fold these span trees
         self.run_log: list[RunResult] = []
@@ -222,17 +189,6 @@ class Gateway:
             raise GatewayError(f"trials must be >= 1, got {resolved}")
         return resolved
 
-    def _record_run(self, run: RunResult) -> RunResult:
-        """Log a completed run into the telemetry streams.
-
-        Gateway trials run serially in-process (``runner.run_trials``),
-        so emission order here is invocation order — deterministic for
-        identical request sequences.
-        """
-        self.run_log.append(run)
-        run.emit(self.metrics)
-        return run
-
     def invoke(self, request: InvocationRequest) -> list[InvocationRecord]:
         """Run a request for its configured number of trials."""
         trials = self._resolve_trials(request.trials)
@@ -244,37 +200,8 @@ class Gateway:
         stored = self.store.require_language(request.function, request.language)
         launcher = FunctionLauncher.for_language(request.language)
         body = launcher.launch(stored.workload, request.args)
-
-        pool = self._pool(request.platform, request.secure)
-        monitor = self.monitors[request.platform]
-        platform = self.hosts[request.platform].platform
-        def one_trial(trial: int) -> InvocationRecord:
-            try:
-                run = pool.run_resilient(body, name=request.function,
-                                         trial=trial)
-            except PoolExhaustedError:
-                if self.faults is None or not self.faults.active:
-                    raise
-                return self._degraded_record(
-                    pool, request.function, request.language, trial)
-            self._record_run(run)
-            report = monitor.collect(run)
-            return InvocationRecord.from_run(
-                run,
-                function=request.function,
-                language=request.language,
-                perf=dict(report.events),
-                transport_ns=self.dispatch_model.round_trip_ns(platform),
-            )
-
-        admitted = self._admit(one_trial, pool,
-                               request.function, request.language)
-        self._admit_invocation(trials)
-        try:
-            records = self.runner.run_trials(trials, admitted)
-        finally:
-            self._release_invocation(trials)
-        return self._account(trials, records)
+        return self._run_invocation(body, request.function, request.language,
+                                    request.platform, request.secure, trials)
 
     def invoke_classic(self, name: str, fn, *, platform: str = "tdx",
                        secure: bool = True, trials: int | None = None,
@@ -289,27 +216,53 @@ class Gateway:
         get.
         """
         trials = self._resolve_trials(trials)
-        body = native_launcher(fn)
+        return self._run_invocation(native_launcher(fn), name, None,
+                                    platform, secure, trials)
+
+    def _run_invocation(self, body, function: str, language: str | None,
+                        platform: str, secure: bool,
+                        trials: int) -> list[InvocationRecord]:
+        """The one trial loop behind :meth:`invoke` and :meth:`invoke_classic`.
+
+        Trials run serially in-process against the long-lived pool VMs,
+        so run-log and telemetry emission order is invocation order —
+        deterministic for identical request sequences.  With
+        :attr:`max_pending` set, only that many trials of an invocation
+        are admitted; overflow trials are shed deterministically — the
+        highest trial indices, the ones that would sit deepest in the
+        queue — as marked zero-attempt records, never silently dropped.
+        FaaS requests (those with a ``language``) also pay the
+        dispatch model's transport round trip.
+        """
         pool = self._pool(platform, secure)
         monitor = self.monitors[platform]
-
-        def one_trial(trial: int) -> InvocationRecord:
-            try:
-                run = pool.run_resilient(body, name=name, trial=trial)
-            except PoolExhaustedError:
-                if self.faults is None or not self.faults.active:
-                    raise
-                return self._degraded_record(pool, name, None, trial)
-            self._record_run(run)
-            report = monitor.collect(run)
-            return InvocationRecord.from_run(
-                run, function=name, language=None, perf=dict(report.events),
-            )
-
-        admitted = self._admit(one_trial, pool, name, None)
+        host_platform = self.hosts[platform].platform
         self._admit_invocation(trials)
+        records: list[InvocationRecord] = []
         try:
-            records = self.runner.run_trials(trials, admitted)
+            for trial in range(trials):
+                if self.max_pending is not None and trial >= self.max_pending:
+                    records.append(self._unrun_record(
+                        pool, function, language, trial, shed=True))
+                    continue
+                try:
+                    run = pool.run_resilient(body, name=function, trial=trial)
+                except PoolExhaustedError:
+                    if self.faults is None or not self.faults.active:
+                        raise
+                    records.append(self._unrun_record(
+                        pool, function, language, trial, shed=False))
+                    continue
+                self.run_log.append(run)
+                run.emit(self.metrics)
+                report = monitor.collect(run)
+                records.append(InvocationRecord.from_run(
+                    run, function=function, language=language,
+                    perf=dict(report.events),
+                    transport_ns=(
+                        0.0 if language is None
+                        else self.dispatch_model.round_trip_ns(host_platform)),
+                ))
         finally:
             self._release_invocation(trials)
         return self._account(trials, records)
@@ -318,18 +271,18 @@ class Gateway:
         """Admit (or refuse) a whole invocation against the backlog.
 
         A single invocation from idle is always admitted — per-trial
-        shedding inside :meth:`_admit` still applies — so serial usage
-        is unchanged.  Only when *concurrent* invocations have already
-        filled the backlog to ``max_pending`` is the newcomer refused,
-        with ``retry_after_ns`` estimating the backlog's drain time
-        (a pure function of the depth at rejection).
+        shedding inside :meth:`_run_invocation` still applies — so
+        serial usage is unchanged.  Only when *concurrent* invocations
+        have already filled the backlog to ``max_pending`` is the
+        newcomer refused, with ``retry_after_ns`` estimating the
+        backlog's drain time (a pure function of the depth at
+        rejection).
         """
         if self.max_pending is None:
             return
         with self._backlog_lock:
             backlog = self._backlog_trials
             if backlog >= self.max_pending:
-                self.stats.invocations_rejected += 1
                 self.metrics.count("gateway.invocations_rejected", 1)
                 excess = backlog + trials - self.max_pending
                 raise OverloadedError(
@@ -345,66 +298,38 @@ class Gateway:
         with self._backlog_lock:
             self._backlog_trials -= trials
 
-    def _admit(self, one_trial, pool: TeePool, function: str,
-               language: str | None):
-        """Wrap a trial function with the admission-control bound.
-
-        The runner's trial loop is the gateway's in-flight queue in
-        this simulation; with :attr:`max_pending` set, only that many
-        trials of an invocation are admitted to it.  Overflow trials
-        are shed deterministically — the highest trial indices, the
-        ones that would sit deepest in the queue — so a bounded queue
-        never silently drops a requested trial: it returns a marked
-        zero-attempt record instead.
-        """
-        if self.max_pending is None:
-            return one_trial
-
-        def admitted(trial: int) -> InvocationRecord:
-            if trial >= self.max_pending:
-                return self._shed_record(pool, function, language, trial)
-            return one_trial(trial)
-
-        return admitted
-
     def _account(self, trials: int,
                  records: list[InvocationRecord]) -> list[InvocationRecord]:
-        """Fold one invocation's outcome into :attr:`stats`.
+        """Fold one invocation's outcome into the ``gateway.*`` counters.
 
-        The same tallies are mirrored into :attr:`metrics` as
-        ``gateway.*`` counters so one snapshot carries both the
-        supervision view and the per-run measurement streams.
+        Every requested trial lands in exactly one outcome bucket —
+        completed, degraded or shed — which is what keeps
+        :meth:`stats`'s conservation invariant.
         """
-        self.stats.invocations += 1
-        self.stats.trials_requested += trials
-        for record in records:
-            if record.shed:
-                self.stats.trials_shed += 1
-            elif record.degraded:
-                self.stats.trials_degraded += 1
-            else:
-                self.stats.trials_completed += 1
-        self.metrics.count("gateway.invocations", 1)
-        self.metrics.count("gateway.trials_requested", trials)
         shed = sum(1 for record in records if record.shed)
         degraded = sum(1 for record in records
                        if record.degraded and not record.shed)
-        if shed:
-            self.metrics.count("gateway.trials_shed", shed)
-        if degraded:
-            self.metrics.count("gateway.trials_degraded", degraded)
-        completed = len(records) - shed - degraded
-        if completed:
-            self.metrics.count("gateway.trials_completed", completed)
+        self.metrics.count("gateway.invocations", 1)
+        self.metrics.count("gateway.trials_requested", trials)
+        for key, amount in (("trials_shed", shed),
+                            ("trials_degraded", degraded),
+                            ("trials_completed",
+                             len(records) - shed - degraded)):
+            if amount:
+                self.metrics.count(f"gateway.{key}", amount)
         return records
 
-    def _shed_record(self, pool: TeePool, function: str,
-                     language: str | None, trial: int) -> InvocationRecord:
-        """The record an over-admission trial is shed as.
+    def _unrun_record(self, pool: TeePool, function: str,
+                      language: str | None, trial: int,
+                      shed: bool) -> InvocationRecord:
+        """The record of a trial that produced no measurement.
 
-        ``attempts`` is 0 — unlike a degraded record, nothing ran —
-        and ``shed`` marks the refusal so callers can distinguish
-        load-shedding from fault exhaustion.
+        A *shed* trial was refused at admission: ``attempts`` is 0,
+        since nothing ran.  Otherwise the trial degraded once the
+        pool's retries ran out — only when fault injection is active,
+        since without faults an exhausted pool is a configuration
+        problem and the loop re-raises.  Either way every requested
+        trial stays present in the response, marked ``degraded=True``.
         """
         return InvocationRecord(
             function=function,
@@ -415,32 +340,9 @@ class Gateway:
             elapsed_ns=0.0,
             output=None,
             perf={},
-            attempts=0,
+            attempts=0 if shed else pool.retry_policy.max_attempts,
             degraded=True,
-            shed=True,
-        )
-
-    def _degraded_record(self, pool: TeePool, function: str,
-                         language: str | None, trial: int) -> InvocationRecord:
-        """The record a trial degrades to once the pool's retries ran out.
-
-        Only taken when fault injection is active (the callers re-raise
-        otherwise: without faults an exhausted pool is a configuration
-        problem, not an injected one).  Degrading keeps every requested
-        trial present in the response — none silently dropped — with
-        ``degraded=True`` marking the loss.
-        """
-        return InvocationRecord(
-            function=function,
-            language=language,
-            platform=pool.platform,
-            secure=pool.secure,
-            trial=trial,
-            elapsed_ns=0.0,
-            output=None,
-            perf={},
-            attempts=pool.retry_policy.max_attempts,
-            degraded=True,
+            shed=shed,
         )
 
     # -- introspection -----------------------------------------------------------
@@ -456,6 +358,19 @@ class Gateway:
             }
             for entry in self.config.entries
         ]
+
+    def stats(self) -> dict[str, int]:
+        """Supervision counters (what ``GET /v1/stats`` returns).
+
+        Read from the ``gateway.*`` registry counters without creating
+        any, so asking does not change ``GET /v1/metrics``.  Requested
+        trials are conserved: ``trials_requested == trials_completed +
+        trials_degraded + trials_shed``.  ``invocations_rejected``
+        counts whole invocations refused at admission (HTTP 429); their
+        trials never entered the queue, so they are not requested.
+        """
+        return {key: self.metrics.counter_value(f"gateway.{key}")
+                for key in _STATS_KEYS}
 
     def functions(self) -> list[str]:
         """Uploaded function names."""

@@ -63,10 +63,6 @@ class TrialJournal:
         if self.path.is_dir():
             raise GatewayError(f"journal path is a directory: {self.path}")
         self._entries: dict[str, dict] = {}
-        #: optional metrics sink (the :mod:`repro.obs` protocol); the
-        #: runner wires its registry in here so replays/records show
-        #: up in ``GET /v1/metrics`` and exported snapshots
-        self.metrics = None
         #: spec hashes served back out of the journal this session
         self.replayed = 0
         #: entries appended this session
@@ -202,8 +198,6 @@ class TrialJournal:
         if payload is None:
             return None
         self.replayed += 1
-        if self.metrics is not None:
-            self.metrics.count("journal.replayed", 1)
         return RunResult.from_dict(payload)
 
     def put(self, spec, result) -> None:
@@ -229,8 +223,6 @@ class TrialJournal:
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self.recorded += 1
-        if self.metrics is not None:
-            self.metrics.count("journal.recorded", 1)
 
     def close(self) -> None:
         """Close the append handle (idempotent)."""

@@ -14,7 +14,7 @@ Every route lives under ``/v1``; any other path is a 404:
 - ``POST /v1/invoke``         — run: ``{"function", "language",
   "platform", "secure", "args", "trials"}``
 - ``GET  /v1/metrics``        — the gateway's metrics-registry snapshot
-- ``GET  /v1/stats``          — supervision counters (:class:`GatewayStats`)
+- ``GET  /v1/stats``          — supervision counters (``Gateway.stats()``)
 - ``POST /v1/cluster/run``    — run one cluster sweep: ``{"hosts",
   "requests", "rate_rps", "process", "secure_fraction", "seed",
   "strategy", "signed"}`` (one sweep at a time; concurrent run → 429)
@@ -182,7 +182,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, registry.snapshot())
 
     def _handle_stats(self) -> None:
-        self._send(200, self.server.gateway.stats.to_dict())
+        self._send(200, self.server.gateway.stats())
 
     def _handle_upload(self) -> None:
         payload = self._read_json()

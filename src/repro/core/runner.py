@@ -730,17 +730,12 @@ class TrialRunner:
         #: what ``report.trace_payload`` serialises for trace dumps.
         self.history: list[tuple[TrialPlan, list[RunResult]]] = []
 
-    # -- spec-based execution (parallelizable) -------------------------
-
     def run(self, plan: TrialPlan) -> list[RunResult]:
         """Execute every spec in the plan; results in spec order."""
         if self.faults:
             plan = plan.with_faults(self.faults)
         if self.budget_ns:
             plan = plan.with_budget(self.budget_ns)
-        if self.journal is not None \
-                and getattr(self.journal, "metrics", None) is None:
-            self.journal.metrics = self.metrics
         results: dict[int, RunResult] = {}
         pending: list[tuple[int, TrialSpec]] = []
         for index, spec in enumerate(plan):
@@ -802,17 +797,3 @@ class TrialRunner:
         for spec, result in zip(plan, self.run(plan)):
             grouped.setdefault(spec.cell, []).append(result)
         return grouped
-
-    # -- stateful execution (gateway pools; always in-process) ---------
-
-    def run_trials(self, trials: int,
-                   fn: Callable[[int], Any]) -> list[Any]:
-        """Run ``fn(trial)`` for each trial index, serially in-process.
-
-        For callables bound to live state (the gateway's TEE pools)
-        that cannot be shipped to worker processes; the structured
-        replacement for hand-rolled ``for t in range(trials)`` loops.
-        """
-        if trials < 1:
-            raise RunnerError(f"trials must be >= 1, got {trials}")
-        return [fn(trial) for trial in range(trials)]

@@ -1,25 +1,18 @@
 """Shared experiment plumbing.
 
-Builders for the secure/normal VM pairs the paper's testbed keeps on
-each host ("in each host we created two VMs: a VM with TEE-backed
-security guarantees and a 'normal' VM"), plus the aggregation helpers
-the harnesses use on top of the unified trial pipeline
-(:mod:`repro.core.runner`).
+The paper's constants (trial count, benched TEEs) and the aggregation
+helpers the harnesses use on top of the unified trial pipeline
+(:mod:`repro.core.runner`): pairing a plan's secure/normal sides into
+matched cells and reducing a cell to its secure/normal ratio.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 
-from repro.core.journal import TrialJournal
-from repro.core.launcher import FunctionLauncher
-from repro.errors import GatewayError
 from repro.core.runner import TrialPlan, TrialRunner
-from repro.tee.base import VmConfig
-from repro.tee.registry import platform_by_name
-from repro.tee.vm import RunResult, Vm
-from repro.workloads.faas.registry import workload_by_name
+from repro.errors import GatewayError
+from repro.tee.vm import RunResult
 
 #: The paper's trial count (§IV-D: "10 independent trials").
 PAPER_TRIALS = 10
@@ -29,59 +22,6 @@ HW_TEES = ("tdx", "sev-snp")
 ALL_TEES = ("tdx", "sev-snp", "cca")
 
 
-@dataclass
-class VmPair:
-    """One platform's secure + normal VM pair."""
-
-    platform: str
-    secure_vm: Vm
-    normal_vm: Vm
-
-    def run_both(self, body, name: str, trials: int) -> tuple[list, list]:
-        """Matched trials on both VMs; returns (secure, normal) results.
-
-        Trials are interleaved (secure, normal) per trial index — not
-        all-secure-then-all-normal — so accumulated VM perf counters
-        and any stateful platform randomness see the same ordering the
-        paper's matched-trials methodology implies.
-        """
-        secure: list[RunResult] = []
-        normal: list[RunResult] = []
-        for trial in range(trials):
-            secure.append(self.secure_vm.run(body, name=name, trial=trial))
-            normal.append(self.normal_vm.run(body, name=name, trial=trial))
-        return secure, normal
-
-
-def make_pair(platform_name: str, seed: int = 0) -> VmPair:
-    """Build and boot the secure/normal pair for one platform."""
-    platform = platform_by_name(platform_name, seed=seed)
-    secure = platform.create_vm(VmConfig(secure=True))
-    secure.boot()
-    normal = platform.create_vm(VmConfig(secure=False))
-    normal.boot()
-    return VmPair(platform=platform_name, secure_vm=secure, normal_vm=normal)
-
-
-def faas_ratio(pair: VmPair, workload_name: str, language: str,
-               trials: int = PAPER_TRIALS) -> tuple[float, list[float], list[float]]:
-    """Mean-time ratio for one (workload, language) cell on a live pair.
-
-    Returns ``(ratio, secure_times, normal_times)``.  The figure
-    harnesses now go through :class:`~repro.core.runner.TrialRunner`
-    instead; this remains the quick-look helper for interactive use.
-    """
-    workload = workload_by_name(workload_name)
-    body = FunctionLauncher.for_language(language).launch(workload)
-    secure, normal = pair.run_both(
-        body, name=f"{workload_name}/{language}", trials=trials
-    )
-    secure_times = [run.elapsed_ns for run in secure]
-    normal_times = [run.elapsed_ns for run in normal]
-    ratio = statistics.fmean(secure_times) / statistics.fmean(normal_times)
-    return ratio, secure_times, normal_times
-
-
 def mean(values) -> float:
     """Arithmetic mean of an iterable."""
     return statistics.fmean(values)
@@ -89,19 +29,14 @@ def mean(values) -> float:
 
 # -- runner-pipeline helpers ------------------------------------------------
 
-def default_runner(runner: TrialRunner | None,
-                   journal: TrialJournal | None = None) -> TrialRunner:
-    """The harnesses' runner default: serial, no cache.
+def default_runner(runner: TrialRunner | None) -> TrialRunner:
+    """The harnesses' runner default: serial, no journal.
 
-    With a ``journal``, the (given or default) runner records every
-    completed trial to it and replays journaled results instead of
-    re-executing — the resume path every harness exposes, so an
-    interrupted sweep picks up where it crashed.
+    A journal attaches through ``TrialRunner(journal=...)``, so a
+    harness given such a runner replays journaled trials and records
+    the rest.
     """
-    runner = runner if runner is not None else TrialRunner()
-    if journal is not None:
-        runner.journal = journal
-    return runner
+    return runner if runner is not None else TrialRunner()
 
 
 def matched_cells(

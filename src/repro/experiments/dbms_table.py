@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.experiments.common import ALL_TEES, default_runner, matched_cells, mean
 from repro.experiments.report import render_table
@@ -62,13 +61,12 @@ def run_dbms_table(
     platforms: tuple[str, ...] = ALL_TEES,
     trials: int = 3,
     runner: TrialRunner | None = None,
-    journal: TrialJournal | None = None,
 ) -> DbmsTableResult:
     """Regenerate the DBMS findings.
 
     ``size`` is speedtest1's relative test size (paper default 100).
     """
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     plan = TrialPlan.matrix(
         kind="speedtest",
         platforms=platforms,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.errors import SupplyChainError
 from repro.experiments.common import default_runner, mean
@@ -84,8 +83,7 @@ class Fig10SupplyResult:
 
 def run_fig10(seed: int = 0, trials: int = 1, vms: int = 3,
               accesses: int = 6, platforms: tuple = PLATFORMS,
-              runner: TrialRunner | None = None,
-              journal: TrialJournal | None = None) -> Fig10SupplyResult:
+              runner: TrialRunner | None = None) -> Fig10SupplyResult:
     """Run the supply-chain matrix, one spec per (platform, cell).
 
     The deployment mode rides in the workload name
@@ -95,7 +93,7 @@ def run_fig10(seed: int = 0, trials: int = 1, vms: int = 3,
     registry in spec order, so serial and parallel runs produce
     byte-identical snapshots.
     """
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     params = {"infra_seed": seed, "vms": vms, "accesses": accesses}
     # One matrix per (platform, cell): the deployment side must pin
     # the secure flag (eager-secure never runs with secure=False), a

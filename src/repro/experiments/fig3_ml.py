@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.results import percentile_stack
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.experiments.common import ALL_TEES, default_runner, matched_cells, mean
 from repro.experiments.report import render_percentile_stacks
@@ -65,7 +64,6 @@ def run_fig3(
     platforms: tuple[str, ...] = ALL_TEES,
     trials: int = 1,
     runner: TrialRunner | None = None,
-    journal: TrialJournal | None = None,
 ) -> Fig3Result:
     """Regenerate Fig. 3.
 
@@ -73,7 +71,7 @@ def run_fig3(
     forward passes stay fast; the *count* and the cost accounting are
     faithful.  ``trials`` repeats the whole dataset pass.
     """
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     plan = TrialPlan.matrix(
         kind="ml",
         platforms=platforms,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.experiments.common import ALL_TEES, default_runner, matched_cells, mean
 from repro.experiments.report import render_ratio_bars, render_table
@@ -54,10 +53,9 @@ def run_fig4(
     trials: int = 5,
     scale: float = 0.3,
     runner: TrialRunner | None = None,
-    journal: TrialJournal | None = None,
 ) -> Fig4Result:
     """Regenerate Fig. 4."""
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     plan = TrialPlan.matrix(
         kind="unixbench",
         platforms=platforms,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.experiments.common import default_runner, mean
 from repro.experiments.report import render_log_bars
@@ -56,10 +55,9 @@ class Fig5Result:
 
 
 def run_fig5(seed: int = 0, trials: int = 5,
-             runner: TrialRunner | None = None,
-             journal: TrialJournal | None = None) -> Fig5Result:
+             runner: TrialRunner | None = None) -> Fig5Result:
     """Regenerate Fig. 5 (TDX and SEV-SNP only, as in the paper)."""
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     # Each platform attests through its own flavor, so the plan is a
     # concatenation of single-cell matrices rather than a cross
     # product.  Attestation has no "normal VM" baseline: secure only.

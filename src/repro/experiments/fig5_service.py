@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.experiments.common import default_runner, mean
 from repro.experiments.report import render_log_bars
@@ -67,9 +66,7 @@ class Fig5ServiceResult:
 
 
 def run_fig5_service(seed: int = 0, trials: int = 3,
-                     runner: TrialRunner | None = None,
-                     journal: TrialJournal | None = None
-                     ) -> Fig5ServiceResult:
+                     runner: TrialRunner | None = None) -> Fig5ServiceResult:
     """Run the fleet-attestation scenario on TDX and SEV-SNP.
 
     Trial bodies return plain per-tier data plus the service
@@ -79,7 +76,7 @@ def run_fig5_service(seed: int = 0, trials: int = 3,
     runner's metrics registry in spec order, so serial and parallel
     sweeps produce byte-identical snapshots.
     """
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     specs = []
     for platform, flavor in _FLAVORS.items():
         specs.extend(TrialPlan.matrix(

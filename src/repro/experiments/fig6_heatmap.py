@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.experiments.common import (
     HW_TEES,
@@ -84,10 +83,9 @@ def run_heatmap(
     languages: tuple[str, ...] = RUNTIME_NAMES,
     trials: int = PAPER_TRIALS,
     runner: TrialRunner | None = None,
-    journal: TrialJournal | None = None,
 ) -> HeatmapResult:
     """Build the ratio grid for the given platforms."""
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     plan = TrialPlan.matrix(
         kind="faas",
         platforms=platforms,
@@ -116,9 +114,7 @@ def run_fig6(
     languages: tuple[str, ...] = RUNTIME_NAMES,
     trials: int = PAPER_TRIALS,
     runner: TrialRunner | None = None,
-    journal: TrialJournal | None = None,
 ) -> HeatmapResult:
     """Regenerate Fig. 6 (the two hardware TEEs)."""
     return run_heatmap(HW_TEES, seed=seed, workloads=workloads,
-                       languages=languages, trials=trials, runner=runner,
-                       journal=journal)
+                       languages=languages, trials=trials, runner=runner)

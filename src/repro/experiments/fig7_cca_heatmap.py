@@ -9,7 +9,6 @@ blue/red-ish cells").
 
 from __future__ import annotations
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialRunner
 from repro.experiments.common import PAPER_TRIALS
 from repro.experiments.fig6_heatmap import HeatmapResult, run_heatmap
@@ -23,9 +22,7 @@ def run_fig7(
     languages: tuple[str, ...] = RUNTIME_NAMES,
     trials: int = PAPER_TRIALS,
     runner: TrialRunner | None = None,
-    journal: TrialJournal | None = None,
 ) -> HeatmapResult:
     """Regenerate Fig. 7 (CCA only)."""
     return run_heatmap(("cca",), seed=seed, workloads=workloads,
-                       languages=languages, trials=trials, runner=runner,
-                       journal=journal)
+                       languages=languages, trials=trials, runner=runner)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.results import five_number_summary
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.experiments.common import (
     PAPER_TRIALS,
@@ -75,10 +74,9 @@ def run_fig8(
     language: str = DEFAULT_LANGUAGE,
     trials: int = PAPER_TRIALS,
     runner: TrialRunner | None = None,
-    journal: TrialJournal | None = None,
 ) -> Fig8Result:
     """Regenerate Fig. 8 (CCA distributions)."""
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     plan = TrialPlan.matrix(
         kind="faas",
         platforms=("cca",),

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.errors import GatewayError
 from repro.experiments.common import default_runner, mean
@@ -91,8 +90,7 @@ class Fig9ClusterResult:
 def run_fig9(seed: int = 0, trials: int = 1, hosts: int = 8,
              requests: int = 120_000, rate_rps: float = 2400.0,
              processes: tuple = ARRIVAL_PROCESSES,
-             runner: TrialRunner | None = None,
-             journal: TrialJournal | None = None) -> Fig9ClusterResult:
+             runner: TrialRunner | None = None) -> Fig9ClusterResult:
     """Run the cluster resilience sweep, one spec per arrival process.
 
     Trial bodies return the sweep's full :class:`ClusterReport` dict
@@ -102,7 +100,7 @@ def run_fig9(seed: int = 0, trials: int = 1, hosts: int = 8,
     produce byte-identical snapshots.  The default cluster fault plan
     rides on the specs; a runner-level ``--faults`` plan overrides it.
     """
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     plan = TrialPlan.matrix(
         kind="cluster", platforms=("tdx",), workloads=tuple(processes),
         trials=trials, seed=seed, secure_modes=(True,),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.journal import TrialJournal
 from repro.core.runner import TrialRunner
 from repro.experiments.common import default_runner
 from repro.experiments.dbms_table import run_dbms_table
@@ -66,15 +65,14 @@ class EvaluationSummary:
 
 
 def run_evaluation(seed: int = 1, quick: bool = True,
-                   runner: TrialRunner | None = None,
-                   journal: TrialJournal | None = None) -> EvaluationSummary:
+                   runner: TrialRunner | None = None) -> EvaluationSummary:
     """Regenerate every artifact and check the paper's findings.
 
     ``quick`` shrinks grids/trials for an interactive run; the full
     configuration matches the benches.  ``runner`` is shared by every
     artifact, so a parallel or caching runner accelerates all of them.
     """
-    runner = default_runner(runner, journal)
+    runner = default_runner(runner)
     summary = EvaluationSummary()
 
     fig3 = run_fig3(seed=seed, image_count=12 if quick else 40,

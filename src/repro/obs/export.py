@@ -129,7 +129,7 @@ class TraceExporter:
         return json.dumps(payload, sort_keys=True,
                           separators=(",", ":")) + "\n"
 
-    # -- span records (JSON / JSONL) -----------------------------------
+    # -- span records (JSONL) ------------------------------------------
 
     def span_records(self) -> list[dict[str, Any]]:
         """One flat dict per span, labelled with its trial."""
@@ -141,11 +141,6 @@ class TraceExporter:
                     **span.to_dict(),
                 })
         return records
-
-    def to_json(self) -> str:
-        """Canonical JSON array of :meth:`span_records`."""
-        return json.dumps(self.span_records(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
 
     def to_jsonl(self) -> str:
         """One canonical JSON document per span, newline-separated."""
@@ -163,13 +158,6 @@ class TraceExporter:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return len(self.chrome_events())
-
-    def write_jsonl(self, path) -> int:
-        """Write :meth:`to_jsonl` to ``path``; returns the line count."""
-        records = self.span_records()
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
-        return len(records)
 
     def __len__(self) -> int:
         return len(self.records)

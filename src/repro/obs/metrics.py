@@ -151,6 +151,11 @@ class MetricsRegistry:
             metric = self._counters[name] = Counter(name)
         return metric
 
+    def counter_value(self, name: str) -> float:
+        """The named counter's value, 0 when absent (creates nothing)."""
+        metric = self._counters.get(name)
+        return metric.value if metric is not None else 0
+
     def gauge(self, name: str) -> Gauge:
         metric = self._gauges.get(name)
         if metric is None:

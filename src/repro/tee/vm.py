@@ -298,14 +298,3 @@ class Vm:
             trial=trial,
             trace=trace,
         )
-
-    def run_trials(
-        self,
-        workload: Callable[[GuestKernel], Any],
-        name: str = "anonymous",
-        trials: int = 10,
-    ) -> list[RunResult]:
-        """Run ``trials`` independent trials (the paper uses 10)."""
-        if trials < 1:
-            raise VmError(f"need at least one trial, got {trials}")
-        return [self.run(workload, name=name, trial=i) for i in range(trials)]

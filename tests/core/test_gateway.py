@@ -590,22 +590,19 @@ class TestAdmissionControl:
                                     faults="vm-crash=0.5,seed=4")
         self.invoke(gateway, trials=5)
         self.invoke(gateway, trials=1)
-        stats = gateway.stats
-        assert stats.invocations == 2
-        assert stats.trials_requested == 6
-        assert stats.trials_shed == 3
-        assert stats.trials_requested == (stats.trials_completed
-                                          + stats.trials_degraded
-                                          + stats.trials_shed)
-        payload = stats.to_dict()
-        assert payload["trials_shed"] == 3
-        assert payload["invocations"] == 2
+        stats = gateway.stats()
+        assert stats["invocations"] == 2
+        assert stats["trials_requested"] == 6
+        assert stats["trials_shed"] == 3
+        assert stats["trials_requested"] == (stats["trials_completed"]
+                                             + stats["trials_degraded"]
+                                             + stats["trials_shed"])
 
     def test_unbounded_gateway_sheds_nothing(self):
         gateway = self.make_gateway()
         self.invoke(gateway, trials=3)
-        assert gateway.stats.trials_shed == 0
-        assert gateway.stats.trials_completed == 3
+        assert gateway.stats()["trials_shed"] == 0
+        assert gateway.stats()["trials_completed"] == 3
 
     def test_pool_counts_evictions_and_respawns(self):
         gateway = self.make_gateway()

@@ -44,7 +44,7 @@ class TestAdmission:
         records = gateway.invoke(invoke_request(trials=5))
         # per-trial shedding by index is untouched: trials 2..4 shed
         assert [r.shed for r in records] == [False, False, True, True, True]
-        assert gateway.stats.invocations_rejected == 0
+        assert gateway.stats()["invocations_rejected"] == 0
 
     def test_full_backlog_refuses_with_hint(self):
         gateway = make_gateway(max_pending=2)
@@ -53,7 +53,7 @@ class TestAdmission:
             gateway.invoke(invoke_request(trials=3))
         # excess = backlog + trials - max_pending = 3
         assert info.value.retry_after_ns == 3 * SHED_RETRY_NS_PER_TRIAL
-        assert gateway.stats.invocations_rejected == 1
+        assert gateway.stats()["invocations_rejected"] == 1
         snapshot = gateway.metrics.snapshot()
         assert snapshot["counters"]["gateway.invocations_rejected"] == 1
 
@@ -76,7 +76,7 @@ class TestAdmission:
         gateway = make_gateway()
         gateway.invoke(invoke_request(trials=2))
         assert gateway._backlog_trials == 0
-        assert gateway.stats.invocations_rejected == 0
+        assert gateway.stats()["invocations_rejected"] == 0
 
 
 class TestRest429:

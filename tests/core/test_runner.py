@@ -243,16 +243,6 @@ class TestRunnerApi:
         for results in cells.values():
             assert [r.trial for r in results] == [0, 1]
 
-    def test_run_trials_serial_in_process(self):
-        seen = []
-        out = TrialRunner(jobs=4).run_trials(3, lambda t: seen.append(t) or t)
-        assert out == [0, 1, 2]
-        assert seen == [0, 1, 2]
-
-    def test_run_trials_rejects_zero(self):
-        with pytest.raises(RunnerError):
-            TrialRunner().run_trials(0, lambda t: t)
-
     def test_unknown_kind_raises(self):
         spec = TrialSpec.make(kind="nope", platform="tdx", secure=True,
                               workload="w", trial=0, seed=0)

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.runner import TrialRunner
-from repro.experiments.common import VmPair, make_pair
 from repro.experiments.fig5_attestation import run_fig5
 from repro.experiments.report import trace_payload
 
@@ -82,24 +81,3 @@ class TestHarnessTraces:
             assert {"boot", "launch", "execute",
                     "attest", "check"} <= names
 
-
-class TestVmPairInterleaving:
-    def test_run_both_alternates_sides(self):
-        pair = make_pair("tdx", seed=0)
-        order = []
-
-        class Recorder:
-            def __init__(self, vm, side):
-                self.vm, self.side = vm, side
-
-            def run(self, body, name, trial):
-                order.append((self.side, trial))
-                return self.vm.run(body, name=name, trial=trial)
-
-        spy = VmPair(platform="tdx",
-                     secure_vm=Recorder(pair.secure_vm, "secure"),
-                     normal_vm=Recorder(pair.normal_vm, "normal"))
-        spy.run_both(lambda kernel: None, name="probe", trials=3)
-        assert order == [("secure", 0), ("normal", 0),
-                         ("secure", 1), ("normal", 1),
-                         ("secure", 2), ("normal", 2)]

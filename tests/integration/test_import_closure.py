@@ -21,12 +21,17 @@ import repro.experiments
 
 SRC = Path(repro.__file__).resolve().parents[1]
 
-#: No entry point below uses the gateway/REST stack, the DBMS engine,
-#: the stdlib HTTP, TLS and mail packages, or the process pool.
+#: No entry point below uses the gateway/REST stack, the trial
+#: journal, the FaaS launcher and registries, the DBMS engine, the
+#: stdlib HTTP, TLS and mail packages, or the process pool.
 UNUSED = (
     "repro.core.gateway",
     "repro.core.rest",
     "repro.core.client",
+    "repro.core.journal",
+    "repro.core.launcher",
+    "repro.workloads.faas.registry",
+    "repro.runtimes.registry",
     "repro.workloads.dbms",
     "http.client",
     "ssl",

@@ -85,11 +85,8 @@ class TestTraceExporter:
     def test_write_files(self, tmp_path):
         exporter = TraceExporter.from_runs([FakeRun(trace=nested_trace())])
         chrome = tmp_path / "trace.json"
-        jsonl = tmp_path / "spans.jsonl"
         assert exporter.write_chrome(chrome) == 4
-        assert exporter.write_jsonl(jsonl) == 3
         assert chrome.read_text() == exporter.to_chrome_json()
-        assert jsonl.read_text() == exporter.to_jsonl()
 
 
 class TestFoldStacks:
