@@ -29,7 +29,10 @@ the same offset again.  Pulls are its only callers in the package;
 :func:`_seal`, so the memo never keeps a built layer alive.  Every
 boot still fetches each chunk, checks its digest, needs its
 KBS-released key, is charged for the decryption and unpacks
-(:mod:`repro.supply.registry`).
+(:mod:`repro.supply.registry`).  :func:`chunk_digest` memoizes the
+content address of each fetched chunk the same way, keyed on the
+chunk's bytes, and an :class:`ImageManifest` encodes its canonical
+JSON once; every digest comparison and signature check still runs.
 """
 
 from __future__ import annotations
@@ -90,6 +93,12 @@ def _seal(data: bytes, key: bytes, offset: int = 0) -> bytes:
 #: a sweep boots has 48 chunks.
 UNSEAL_CACHE_SIZE = 64
 
+#: Digests :func:`chunk_digest` keeps, pinning at most 8 MiB of chunks.
+#: A sweep that boots the largest image both sealed and plaintext pulls
+#: 96 distinct chunks; a smaller memo would evict one image's chunks
+#: while pulling the other's.
+DIGEST_CACHE_SIZE = 128
+
 
 # Pure-function memo: (data, key, offset) fully determines the output,
 # so hitting the cache never couples one trial to another.
@@ -97,6 +106,14 @@ UNSEAL_CACHE_SIZE = 64
 def keystream_xor(data: bytes, key: bytes, offset: int = 0) -> bytes:  # confbench: allow[purity]
     """:func:`_seal`, memoized per process for the pulls that unseal."""
     return _seal(data, key, offset)
+
+
+# Keyed on the bytes themselves, which a lookup compares by content: a
+# tampered chunk is new content, so it misses and is hashed afresh.
+@functools.lru_cache(maxsize=DIGEST_CACHE_SIZE)
+def chunk_digest(data: bytes) -> str:  # confbench: allow[purity]
+    """:func:`sha256_digest`, memoized per process for fetched chunks."""
+    return sha256_digest(data)
 
 
 @dataclass(frozen=True)
@@ -145,8 +162,8 @@ class ImageManifest:
     tag: str
     layers: tuple[LayerDescriptor, ...] = ()
 
-    def canonical_bytes(self) -> bytes:
-        """Canonical (sorted-key, no-whitespace) JSON — what is signed."""
+    @functools.cached_property
+    def _canonical(self) -> bytes:
         payload = {
             "name": self.name,
             "tag": self.tag,
@@ -155,9 +172,14 @@ class ImageManifest:
         return json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
 
-    @property
+    def canonical_bytes(self) -> bytes:
+        """Canonical (sorted-key, no-whitespace) JSON — what is signed,
+        encoded once per manifest."""
+        return self._canonical
+
+    @functools.cached_property
     def digest(self) -> str:
-        return sha256_digest(self.canonical_bytes())
+        return sha256_digest(self._canonical)
 
     @property
     def total_chunks(self) -> int:

@@ -20,12 +20,16 @@ the guest filesystem):
   offset-addressable keystream in :mod:`repro.supply.image` exists
   exactly so a fault never has to materialize its neighbours.
 
-Unsealing goes through :func:`~repro.supply.image.keystream_xor`,
-which memoizes each chunk's plaintext per process; only that host-side
-keystream derivation is shared.  Every boot still fetches each chunk,
-checks its digest against the manifest, needs its KBS-released key,
-pays the ``SEAL_COST_PER_BYTE_NS`` charge and unpacks, so ledgers and
-request logs are what they were without the memo.
+Two per-process memos share host-side work between boots.  The
+digest check goes through :func:`~repro.supply.image.chunk_digest`,
+which memoizes each fetched chunk's sha256 keyed on its bytes, so a
+tampered blob misses and fails its check.  Unsealing goes through
+:func:`~repro.supply.image.keystream_xor`, which memoizes each chunk's
+plaintext.  Every boot still fetches each chunk, compares its digest
+with the manifest, pays the ``DIGEST_COST_PER_BYTE_NS`` charge, needs
+its KBS-released key, pays the ``SEAL_COST_PER_BYTE_NS`` charge and
+unpacks, so ledgers and request logs are what they were without the
+memos.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from repro.supply.image import (
     ImageManifest,
     ImageSignature,
     LayerDescriptor,
+    chunk_digest,
     keystream_xor,
-    sha256_digest,
     verify_image_signature,
 )
 
@@ -197,10 +201,11 @@ class _PullStrategy:
         report.add_phase("pull_ns", ctx.ledger.total() - before)
         before = ctx.ledger.total()
         ctx.crypto(DIGEST_COST_PER_BYTE_NS * len(data))
-        if sha256_digest(data) != chunk.digest:
+        actual = chunk_digest(data)
+        if actual != chunk.digest:
             raise ImageVerificationError(
                 f"chunk at offset {chunk.offset} hashes to "
-                f"{sha256_digest(data)}, manifest says {chunk.digest}; "
+                f"{actual}, manifest says {chunk.digest}; "
                 "aborting launch")
         report.add_phase("verify_ns", ctx.ledger.total() - before)
         return data

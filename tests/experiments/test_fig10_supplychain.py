@@ -2,12 +2,13 @@
 
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.runner import TrialRunner
 from repro.experiments import run_fig10
-from repro.supply import registry
+from repro.supply import image, registry
 
 CELLS = ("eager-secure", "eager-normal", "lazy-secure", "lazy-normal")
 QUICK = dict(trials=1, vms=2, accesses=4)
@@ -111,4 +112,52 @@ class TestUnsealCounts:
         info = memo.cache_info()
         assert (unseals["encrypted"], info.misses, info.hits) == (
             2 * 97, 20, 77 + 97)
+        assert result_key(repeat) == result_key(first)
+
+
+class TestDigestCounts:
+    def test_each_chunk_and_manifest_hashed_once_per_process(self,
+                                                             monkeypatch):
+        """Exact counts per ``run_fig10(seed=0, trials=1)``.  Its 192
+        chunk fetches carry 40 distinct contents, and its 8 manifests
+        were JSON-encoded 104 times when neither was memoized.  A fresh
+        process hashes each content once and a repeat run none; each
+        manifest object is encoded once.  Every fetch still has its
+        digest compared through the memo."""
+        fetched = []
+        fetch_chunk = registry.Registry.fetch_chunk
+
+        def recording_fetch(self, chunk, ctx):
+            data = fetch_chunk(self, chunk, ctx)
+            fetched.append(data)
+            return data
+
+        built = Counter()
+        init = image.ImageManifest.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built["manifests"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_dumps(*args, **kwargs):
+            built["encodes"] += 1
+            return json.dumps(*args, **kwargs)
+
+        monkeypatch.setattr(registry.Registry, "fetch_chunk",
+                            recording_fetch)
+        monkeypatch.setattr(image.ImageManifest, "__init__", counting_init)
+        monkeypatch.setattr(image, "json",
+                            SimpleNamespace(dumps=counting_dumps))
+        memo = registry.chunk_digest
+        memo.cache_clear()      # the memo of a fresh process
+        first = run_fig10(seed=0, trials=1)
+        info = memo.cache_info()
+        assert (len(fetched), len(set(fetched))) == (192, 40)
+        assert (info.misses, info.hits) == (40, 192 - 40)
+        assert (built["manifests"], built["encodes"]) == (8, 8)
+        repeat = run_fig10(seed=0, trials=1)
+        info = memo.cache_info()
+        assert (len(fetched), len(set(fetched))) == (2 * 192, 40)
+        assert (info.misses, info.hits) == (40, 2 * 192 - 40)
+        assert (built["manifests"], built["encodes"]) == (16, 16)
         assert result_key(repeat) == result_key(first)

@@ -6,11 +6,12 @@ generator that moves a single sealed byte fails here.  One encrypted
 bundle is also pinned by digest, so a keystream change shows up even
 where no golden plan builds an image.
 
-``keystream_xor`` memoizes unsealed chunks per process.  The memo must
-return what the unmemoized kernel would, and must not move the trust
-boundary: with the memo warm, a tampered chunk still fails its digest
-check before it is unsealed or unpacked, and a denied key release
-unseals nothing.
+``keystream_xor`` memoizes unsealed chunks per process, and
+``chunk_digest`` the digest of each fetched chunk.  The memos must
+return what the unmemoized kernels would, and must not move the trust
+boundary: with them warm, a tampered chunk still fails its digest
+check before it is unsealed or unpacked, on encrypted and plaintext
+images alike, and a denied key release unseals nothing.
 """
 
 import contextlib
@@ -36,6 +37,7 @@ from repro.sim.rng import SimRng
 from repro.supply import (
     CHUNK_BYTES,
     EagerPull,
+    ImageBundle,
     KeyBrokerService,
     LaunchProvisioner,
     LazyPull,
@@ -233,6 +235,66 @@ def test_tampered_chunk_fails_before_unseal_with_warm_memo(position,
     assert (layer_index, chunk.offset) not in unpacked
     assert not fs.exists(
         f"/images/app/v1/layer-{layer_index}/chunk-{chunk.offset}")
+
+
+_PLAIN = build_image("plain", "v1", _RNG.child("plain"), encrypted=False)
+
+plain_positions = st.sampled_from([
+    (layer.index, chunk)
+    for layer in _PLAIN.manifest.layers
+    for chunk in range(len(layer.chunks))])
+
+
+@settings(max_examples=16, deadline=None)
+@given(position=plain_positions, flip=st.integers(0, CHUNK_BYTES - 1),
+       strategy=st.sampled_from(["eager", "lazy"]))
+@example(position=(0, 0), flip=0, strategy="lazy")
+@example(position=(1, 1), flip=CHUNK_BYTES - 1, strategy="eager")
+def test_tampered_plaintext_chunk_fails_with_warm_digest_memo(
+        position, flip, strategy):
+    """An unsigned plaintext pull has only the digest check between a
+    tampered blob and the guest.  The memo keys on content: a
+    bytes-equal copy of a blob is served from it, a tampered blob under
+    the same expected digest misses it and fails, and undoing the
+    tamper is served from it again."""
+    layer_index, chunk_index = position
+    chunk = _PLAIN.manifest.layers[layer_index].chunks[chunk_index]
+    path = f"/images/plain/v1/layer-{layer_index}/chunk-{chunk.offset}"
+    registry = Registry()
+    registry.push(_PLAIN)
+    puller = (EagerPull if strategy == "eager" else LazyPull)(registry)
+
+    def pull(fs):
+        ctx = _ctx()
+        pulled = puller.pull("plain", "v1", fs, ctx)
+        if strategy == "lazy":
+            pulled.access(layer_index, chunk_index, ctx)
+
+    memo = image_module.chunk_digest
+    memo.cache_clear()
+    pull(InMemoryFileSystem())      # warm the memo with the genuine image
+    misses = memo.cache_info().misses
+    blob = _PLAIN.blobs[chunk.digest]
+    copy = bytes(bytearray(blob))
+    assert copy is not blob
+    registry.push(ImageBundle(_PLAIN.manifest, blobs={chunk.digest: copy}))
+    fs = InMemoryFileSystem()
+    pull(fs)
+    assert fs.exists(path) and memo.cache_info().misses == misses
+
+    registry.tamper(chunk.digest, flip)
+    fs = InMemoryFileSystem()
+    with _recording() as (_, unpacked), \
+            pytest.raises(ImageVerificationError, match="aborting launch"):
+        pull(fs)
+    assert (layer_index, chunk.offset) not in unpacked
+    assert not fs.exists(path)
+    assert memo.cache_info().misses == misses + 1
+
+    registry.tamper(chunk.digest, flip)     # the same flip undoes it
+    fs = InMemoryFileSystem()
+    pull(fs)
+    assert fs.exists(path) and memo.cache_info().misses == misses + 1
 
 
 def _provisioner(registry, kbs, attestor, strategy, key_ids):
