@@ -54,7 +54,7 @@ from repro.analysis.core import (
 #: legitimate consumer of ``random``, the fault-injection substrate
 #: wraps it the same way, and CLI entry points may touch the host
 #: environment.
-DEFAULT_ALLOWLIST = frozenset({
+ALLOWLIST = frozenset({
     "repro.sim.rng", "repro.sim.faults", "repro.cli",
 })
 
@@ -102,11 +102,8 @@ class DeterminismRule(Rule):
     id = "determinism"
     severity = Severity.ERROR
 
-    def __init__(self, allowlist: frozenset[str] = DEFAULT_ALLOWLIST) -> None:
-        self.allowlist = frozenset(allowlist)
-
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
-        if module.name in self.allowlist:
+        if module.name in ALLOWLIST:
             return
         visitor = _DeterminismVisitor(module)
         visitor.visit(module.tree)

@@ -179,14 +179,6 @@ class LayeringRule(Rule):
     id = "layering"
     severity = Severity.ERROR
 
-    def __init__(self, layers: dict[str, int] | None = None,
-                 forbidden: frozenset[tuple[str, str]] = FORBIDDEN_EDGES,
-                 restricted: dict[str, frozenset[str]] | None = None) -> None:
-        self.layers = dict(LAYERS if layers is None else layers)
-        self.forbidden = frozenset(forbidden)
-        self.restricted = dict(RESTRICTED_IMPORTS if restricted is None
-                               else restricted)
-
     def check_project(self, project: Project) -> Iterator[Finding]:
         paths = {m.name: str(m.path) for m in project.modules}
         graph = import_graph(project)
@@ -207,20 +199,20 @@ class LayeringRule(Rule):
             return None
         path = paths.get(edge.source, edge.source)
         chain = f"{edge.source} → {edge.target}"
-        restricted = self.restricted.get(src_pkg)
+        restricted = RESTRICTED_IMPORTS.get(src_pkg)
         if restricted is not None and dst_pkg not in restricted:
             return self._finding(
                 "restricted-import", path, edge,
                 f"package '{src_pkg}' may only import "
                 f"{{{', '.join(sorted(restricted - {src_pkg}))}}}, "
                 f"not '{dst_pkg}' ({chain})")
-        if (src_pkg, dst_pkg) in self.forbidden:
+        if (src_pkg, dst_pkg) in FORBIDDEN_EDGES:
             return self._finding(
                 "forbidden-edge", path, edge,
                 f"'{src_pkg}' must not reach into '{dst_pkg}' internals "
                 f"({chain}); go through the public tee/core surface")
-        src_rank = self.layers.get(src_pkg)
-        dst_rank = self.layers.get(dst_pkg)
+        src_rank = LAYERS.get(src_pkg)
+        dst_rank = LAYERS.get(dst_pkg)
         if src_rank is None or dst_rank is None:
             unknown = src_pkg if src_rank is None else dst_pkg
             return self._finding(

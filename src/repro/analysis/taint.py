@@ -50,7 +50,6 @@ from repro.analysis.core import (
 from repro.analysis.dataflow import (
     CallGraph,
     FunctionUnit,
-    SymbolIndex,
     build_index,
 )
 
@@ -359,14 +358,11 @@ class FunctionSummary:
 class TaintEngine:
     """Runs the interprocedural analysis over one project."""
 
-    def __init__(self, project: Project, spec: TaintSpec,
-                 index: SymbolIndex | None = None,
-                 callgraph: CallGraph | None = None) -> None:
+    def __init__(self, project: Project, spec: TaintSpec) -> None:
         self.project = project
         self.spec = spec
-        self.index = index if index is not None else build_index(project)
-        self.callgraph = callgraph if callgraph is not None \
-            else CallGraph.build(project, self.index)
+        self.index = build_index(project)
+        self.callgraph = CallGraph.build(project, self.index)
         self.summaries: dict[str, FunctionSummary] = {}
 
     def run(self) -> list[Finding]:
@@ -869,8 +865,5 @@ class ConfidentialTaintRule(Rule):
     id = "taint"
     severity = Severity.ERROR
 
-    def __init__(self, spec: TaintSpec = DEFAULT_TAINT_SPEC) -> None:
-        self.spec = spec
-
     def check_project(self, project: Project) -> Iterator[Finding]:
-        yield from TaintEngine(project, self.spec).run()
+        yield from TaintEngine(project, DEFAULT_TAINT_SPEC).run()

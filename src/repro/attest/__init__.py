@@ -38,7 +38,6 @@ from repro.attest.pcs import (
 )
 from repro.attest.tiers import (
     CollateralDoc,
-    CollateralTier,
     TierHit,
     TierStore,
     ZonedCollateral,
@@ -79,7 +78,6 @@ __all__ = [
     "DEFAULT_FRESHNESS",
     "RequestLog",
     "CollateralDoc",
-    "CollateralTier",
     "TierHit",
     "TierStore",
     "ZonedCollateral",

@@ -131,10 +131,9 @@ class CertificateAuthority:
         name: str,
         rng: SimRng,
         issuer_ca: "CertificateAuthority | None" = None,
-        key_bits: int = 1024,
     ) -> None:
         self.name = name
-        self.keypair: RsaKeyPair = derived_keypair(rng, f"ca/{name}", key_bits)
+        self.keypair: RsaKeyPair = derived_keypair(rng, f"ca/{name}")
         self.issuer_ca = issuer_ca
         self._next_serial = 1
         self._revoked: set[int] = set()

@@ -28,7 +28,7 @@ from repro.attest.certs import (
 from repro.attest.crypto import RsaKeyPair, derived_keypair, derived_signature
 from repro.errors import AttestationError, CollateralTimeoutError
 from repro.guestos.context import ExecContext
-from repro.hw.nic import NicModel, wan_path
+from repro.hw.nic import wan_path
 from repro.sim.faults import CircuitBreaker, FaultKind
 from repro.sim.rng import SimRng
 
@@ -215,21 +215,19 @@ class IntelPcs:
     def __init__(
         self,
         rng: SimRng,
-        fmspc: str = "50806F000000",
-        tcb_svn: str = "TDX_1.5.05.46.698",
-        network: NicModel | None = None,
         breaker: CircuitBreaker | None = None,
         freshness: FreshnessPolicy | None = None,
         log_capacity: int = 8192,
     ) -> None:
         self.rng = rng.child("intel-pcs")
-        self.network = network if network is not None else wan_path()
+        self.network = wan_path()
         self.root_ca = CertificateAuthority("Intel SGX Root CA", self.rng)
         self.pck_ca = CertificateAuthority(
             "Intel PCK Platform CA", self.rng, issuer_ca=self.root_ca
         )
-        self.fmspc = fmspc
-        self.tcb_svn = tcb_svn
+        self.fmspc = "50806F000000"
+        #: the TCB level the PCS publishes (rotation assigns a new one)
+        self.tcb_svn = "TDX_1.5.05.46.698"
         self._tcb_signing_key: RsaKeyPair = derived_keypair(
             self.rng, "tcb-signing"
         )

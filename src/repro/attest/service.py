@@ -52,17 +52,12 @@ from repro.attest.pcs import (
 )
 from repro.attest.snp_report import AmdKeyInfrastructure, generate_snp_report
 from repro.attest.tdx_quote import QuotingEnclave, generate_tdx_quote
-from repro.attest.tiers import (
-    CollateralDoc,
-    CollateralTier,
-    TierHit,
-    TierStore,
-)
+from repro.attest.tiers import TierStore
 from repro.attest.verifier import SnpVerifier, TdxVerifier
 from repro.errors import AttestationError, CollateralTimeoutError
 from repro.guestos.context import ExecContext
 from repro.hw.machine import epyc_9124, xeon_gold_5515
-from repro.hw.nic import NicModel, lan_path
+from repro.hw.nic import lan_path
 from repro.sim.faults import CircuitBreaker
 from repro.sim.rng import SimRng
 from repro.tee.sevsnp import AmdSecureProcessor
@@ -70,10 +65,6 @@ from repro.tee.tdx import TdxModule
 
 #: Cost of a host-local collateral lookup (shared-memory/IPC, no NIC).
 HOST_HIT_NS = 30_000.0
-
-#: Nominal cost a context-free CDN peek reports (the charged path
-#: prices the hop on a live NIC model instead).
-CDN_HIT_NS = 250_000.0
 
 #: Cost of resuming a cached attestation session (one keyed lookup
 #: plus a MAC over the session token — no collateral, no signatures).
@@ -87,7 +78,7 @@ DEFAULT_SESSION_TTL_NS = 3600 * 1e9
 _TIER_PRIORITY = ("origin", "stale", "cdn", "host", "warm")
 
 
-class TieredCollateral(CollateralTier):
+class TieredCollateral:
     """``per-host → cluster CDN → origin`` collateral resolution.
 
     Implements the same four ``fetch_*`` methods as
@@ -95,21 +86,15 @@ class TieredCollateral(CollateralTier):
     :class:`~repro.attest.verifier.TdxVerifier` as its ``collateral``
     provider.  Pass a shared :class:`TierStore` as ``cdn`` to model
     several hosts behind one cluster cache — the first host's origin
-    fetch warms the CDN for everyone else.
+    fetch warms the CDN for everyone else.  CDN hops are priced on a
+    LAN path, with draws from a child of the PCS's random stream.
 
     When the origin itself fails (timeout, open circuit), the tiers
     are consulted once more with relaxed standards: the freshest
     ``stale-but-acceptable`` copy is served — counted and attributed
     to the ``stale`` pseudo-tier — while ``reject``-grade copies are
-    evicted and the failure propagates.
-
-    As a :class:`~repro.attest.tiers.CollateralTier`, the uniform
-    ``fetch(doc, now_ns)`` surface resolves ``doc.name`` (an endpoint
-    key) against the cached tiers without a live execution context —
-    the peek the KBS admission path uses — while the charged
-    ``fetch_*(ctx)`` provider methods remain the authority for origin
-    refreshes.  Both paths feed the same standard ``hits`` counters;
-    the finer-grained ``stats`` dict is kept alongside.
+    evicted and the failure propagates.  Every outcome is counted in
+    the one :attr:`stats` dict.
     """
 
     _ENDPOINTS = {
@@ -121,19 +106,14 @@ class TieredCollateral(CollateralTier):
 
     def __init__(self, pcs: IntelPcs,
                  cdn: TierStore | None = None,
-                 freshness: FreshnessPolicy | None = None,
-                 cdn_network: NicModel | None = None,
-                 rng: SimRng | None = None) -> None:
-        super().__init__(serve_stale=True)
+                 freshness: FreshnessPolicy | None = None) -> None:
         self.pcs = pcs
         self.host = TierStore("host")
         self.cdn = cdn if cdn is not None else TierStore("cdn")
         self.freshness = (freshness if freshness is not None
                           else DEFAULT_FRESHNESS)
-        self.cdn_network = (cdn_network if cdn_network is not None
-                            else lan_path())
-        self.rng = (rng if rng is not None
-                    else pcs.rng.child("tiered-collateral"))
+        self.cdn_network = lan_path()
+        self.rng = pcs.rng.child("tiered-collateral")
         self.stats: dict[str, int] = {
             "host.hits": 0,
             "cdn.hits": 0,
@@ -141,45 +121,6 @@ class TieredCollateral(CollateralTier):
             "stale.served": 0,
             "evictions": 0,
         }
-
-    # -- the uniform tier surface ---------------------------------------
-
-    def fetch(self, doc: CollateralDoc, now_ns: float) -> TierHit | None:
-        """Resolve a cached document without a live context.
-
-        Walks host → CDN for a fresh copy (a CDN answer promotes into
-        the host tier, as the charged path does); when neither tier is
-        fresh, the freshest grace-window copy is served marked as the
-        ``stale`` pseudo-tier (subject to :attr:`serve_stale`).
-        ``None`` means only an origin fetch — the charged
-        ``fetch_*(ctx)`` path — can answer.
-        """
-        try:
-            endpoint, _payload = self._ENDPOINTS[doc.name]
-        except KeyError:
-            raise AttestationError(
-                f"unknown collateral document {doc.name!r}; known: "
-                f"{', '.join(sorted(self._ENDPOINTS))}") from None
-        for store, tier, cost_ns in ((self.host, "host", HOST_HIT_NS),
-                                     (self.cdn, "cdn", CDN_HIT_NS)):
-            entry = store.get(endpoint)
-            if entry is None:
-                continue
-            document, stored_at = entry
-            if self.freshness.classify(document, stored_at,
-                                       now_ns) is Staleness.FRESH:
-                self.hits[tier] += 1
-                if tier == "cdn":
-                    self.host.put(endpoint, document, stored_at)
-                return TierHit(tier=tier, cost_ns=cost_ns,
-                               document=document)
-        if self.serve_stale:
-            fallback = self._stale_fallback(endpoint, now_ns)
-            if fallback is not None:
-                self.hits["stale"] += 1
-                return TierHit(tier="stale", cost_ns=CDN_HIT_NS,
-                               document=fallback)
-        return None
 
     # -- the provider protocol ------------------------------------------
 
@@ -208,7 +149,6 @@ class TieredCollateral(CollateralTier):
                                        now) is Staleness.FRESH:
                 ctx.charge_network(HOST_HIT_NS)
                 self.stats["host.hits"] += 1
-                self.hits["host"] += 1
                 return document
         entry = self.cdn.get(endpoint)
         if entry is not None:
@@ -218,7 +158,6 @@ class TieredCollateral(CollateralTier):
                 ctx.charge_network(
                     self.cdn_network.round_trip(payload_bytes, self.rng))
                 self.stats["cdn.hits"] += 1
-                self.hits["cdn"] += 1
                 # promote into the host tier so the next lookup is local
                 self.host.put(endpoint, document, stored_at)
                 return document
@@ -228,15 +167,12 @@ class TieredCollateral(CollateralTier):
             fallback = self._stale_fallback(endpoint, ctx.clock.now())
             if fallback is not None:
                 self.stats["stale.served"] += 1
-                self.hits["stale"] += 1
                 return fallback
-            self.hits["outage_failures"] += 1
             raise
         fetched_at = ctx.clock.now()
         self.host.put(endpoint, document, fetched_at)
         self.cdn.put(endpoint, document, fetched_at)
         self.stats["origin.fetches"] += 1
-        self.hits["origin"] += 1
         return document
 
     def _stale_fallback(self, endpoint: str, now_ns: float):
@@ -431,7 +367,8 @@ class VerifierService:
     :class:`~repro.attest.verifier.SnpVerifier`).  ``collateral`` is
     the service's :class:`TieredCollateral` when the platform fetches
     networked collateral (TDX); SNP verification is local, so SNP
-    services run without one.
+    services run without one.  A launch that resumes its session pays
+    :data:`RESUME_COST_NS` instead of a full verification.
 
     Determinism contract: a batch's verdicts are a pure fold over the
     jobs in submission order — slot assignment, session decisions and
@@ -443,7 +380,6 @@ class VerifierService:
                  collateral: TieredCollateral | None = None,
                  concurrency: int = 4,
                  sessions: SessionCache | None = None,
-                 resume_cost_ns: float = RESUME_COST_NS,
                  metrics=None) -> None:
         if concurrency < 1:
             raise AttestationError(
@@ -453,7 +389,6 @@ class VerifierService:
         self.collateral = collateral
         self.concurrency = concurrency
         self.sessions = sessions if sessions is not None else SessionCache()
-        self.resume_cost_ns = resume_cost_ns
         #: optional duck-typed metrics sink (``count`` / ``set_gauge``
         #: / ``observe``); the gateway wires its registry here so
         #: service activity shows in ``GET /v1/metrics`` live
@@ -482,7 +417,7 @@ class VerifierService:
         session = self.sessions.lookup(job.measurement, tcb_svn,
                                        ctx.clock.now())
         if session is not None:
-            ctx.crypto(self.resume_cost_ns)
+            ctx.crypto(RESUME_COST_NS)
             verdict = LaunchVerdict(
                 measurement=job.measurement, accepted=True, resumed=True,
                 tier="session", queue_wait_ns=queue_wait_ns,

@@ -75,16 +75,17 @@ class QuotingEnclave:
 
     MRSIGNER = "intel-qe-signer"
     ISV_SVN = 2
+    PLATFORM_ID = "tdx-host-0"
 
-    def __init__(self, pcs: IntelPcs, rng: SimRng, platform_id: str = "tdx-host-0") -> None:
-        self.platform_id = platform_id
+    def __init__(self, pcs: IntelPcs, rng: SimRng) -> None:
         self._pck_key: RsaKeyPair = derived_keypair(rng, "pck-key")
-        self.pck_cert = pcs.provision_pck(platform_id, self._pck_key.public)
+        self.pck_cert = pcs.provision_pck(self.PLATFORM_ID,
+                                          self._pck_key.public)
         self._attestation_key: RsaKeyPair = derived_keypair(rng, "ak")
         # The PCK key certifies the attestation key (QE report binding
         # in real DCAP; modelled as a certificate here).
         self.ak_cert = Certificate(
-            subject=f"QE AK {platform_id}",
+            subject=f"QE AK {self.PLATFORM_ID}",
             issuer=self.pck_cert.subject,
             serial=1,
             public_key=self._attestation_key.public,

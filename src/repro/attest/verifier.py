@@ -246,13 +246,10 @@ class SnpVerifier:
     """Verifier for SNP reports (three local steps, no network)."""
 
     def __init__(self, keys: AmdKeyInfrastructure,
-                 retry_policy: RetryPolicy | None = None,
                  breaker: CircuitBreaker | None = None) -> None:
         self.keys = keys
         self.trusted_ark = keys.ark.certificate
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
+        self.retry_policy = RetryPolicy()
         #: supervises the VCEK/device-cert path: repeated transient
         #: failures trip it, and further verifies fail fast
         self.breaker = breaker

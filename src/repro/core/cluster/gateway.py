@@ -42,7 +42,7 @@ from repro.core.cluster.traffic import TenantMix, TrafficGenerator, TrafficSpec
 from repro.core.results import percentile
 from repro.errors import GatewayError
 from repro.sim.events import LeanEventQueue
-from repro.sim.faults import FaultContext, FaultKind, FaultPlan
+from repro.sim.faults import FaultContext, FaultKind
 from repro.sim.rng import SimRng
 
 #: cold-boot costs (ns): provisioning a fresh (C)VM vs resuming a
@@ -51,6 +51,13 @@ SECURE_COLD_BOOT_NS = 160_000_000.0
 NORMAL_COLD_BOOT_NS = 60_000_000.0
 WARM_START_NS = 1_500_000.0
 ATTEST_VERIFY_NS = 3_000_000.0
+
+#: a request in flight on a suspect host is hedged this long after the
+#: suspicion; a queued request older than the deadline is shed; the
+#: autoscaler resizes warm pools once per interval
+HEDGE_DELAY_NS = 100_000_000.0
+QUEUE_DEADLINE_NS = 10_000_000_000.0
+AUTOSCALE_INTERVAL_NS = 5_000_000_000.0
 
 #: per-request service-time jitter (lognormal sigma)
 SERVICE_JITTER_SIGMA = 0.08
@@ -205,36 +212,19 @@ class ClusterGateway:
 
     def __init__(self, profiles: tuple[HostProfile, ...], *,
                  seed: int = 0,
-                 faults: "FaultContext | FaultPlan | None" = None,
-                 scope: str = "cluster",
-                 probe_interval_ns: float = 500_000_000.0,
-                 probe_timeout_ns: float = 200_000_000.0,
-                 hedge_delay_ns: float = 100_000_000.0,
+                 faults: FaultContext | None = None,
                  queue_cap: int | None = None,
-                 queue_deadline_ns: float = 10_000_000_000.0,
                  retry_floor: int = 20, retry_ratio: float = 0.1,
-                 autoscale_interval_ns: float = 5_000_000_000.0,
                  image_policy=None) -> None:
         if not profiles:
             raise GatewayError("cluster needs at least one host profile")
         self.profiles = tuple(profiles)
         self.seed = seed
-        if isinstance(faults, FaultContext):
-            self._plan: FaultPlan | None = faults.plan
-            self._scope = faults.scope
-            self._fault_log: list[str] | None = faults.injected
-        elif isinstance(faults, FaultPlan):
-            self._plan = faults
-            self._scope = scope
-            self._fault_log = None
-        else:
-            self._plan = None
-            self._scope = scope
-            self._fault_log = None
+        self._faults = faults
         self.nodes = [ClusterNode(profile) for profile in self.profiles]
         self.zones = tuple(dict.fromkeys(p.zone for p in self.profiles))
         self.scheduler = PlacementScheduler(self.nodes)
-        self.collateral = ZonedCollateral(self.zones)
+        self.collateral = ZonedCollateral()
         #: optional :class:`~repro.supply.ImagePolicy`: every cold boot
         #: additionally pays the fixed supply-chain tax (pull strategy
         #: + key release on secure boots); ``None`` keeps the legacy
@@ -243,19 +233,14 @@ class ClusterGateway:
         self._supply: dict[str, int] = {}
         self.monitor = HealthMonitor(
             self.nodes,
-            probe_interval_ns=probe_interval_ns,
-            probe_timeout_ns=probe_timeout_ns,
             on_suspect=self._on_suspect,
             on_dead=self._on_dead,
         )
         total_cores = sum(p.cores for p in self.profiles)
         self.controller = OverloadController(
             queue_cap if queue_cap is not None else 4 * total_cores)
-        self.hedge_delay_ns = hedge_delay_ns
-        self.queue_deadline_ns = queue_deadline_ns
         self.retry_floor = retry_floor
         self.retry_ratio = retry_ratio
-        self.autoscale_interval_ns = autoscale_interval_ns
         self._events = LeanEventQueue()
         self._queue: deque[_Request] = deque()
         #: node name -> {attempt object id: attempt} still on that host
@@ -273,35 +258,34 @@ class ClusterGateway:
 
     def _log_fault(self, kind: FaultKind, point: str) -> None:
         self._faults_injected.append(f"{kind.value}@{point}")
-        if self._fault_log is not None:
-            self._fault_log.append(f"{kind.value}@{point}")
+        self._faults.injected.append(f"{kind.value}@{point}")
 
     def _install_faults(self, horizon_ns: float) -> None:
         """Draw the cluster fault geometry for this sweep's horizon."""
-        plan = self._plan
-        if plan is None or not plan.active:
+        if self._faults is None or not self._faults.plan.active:
             return
+        plan, scope = self._faults.plan, self._faults.scope
         for node in self.nodes:
             name = node.profile.name
             at = plan.event_at_ns(FaultKind.HOST_CRASH,
-                                  f"{self._scope}/{name}", horizon_ns)
+                                  f"{scope}/{name}", horizon_ns)
             if at is not None:
                 node.crashed_at_ns = at
                 self._events.push(at, _CRASH, node)
                 self._log_fault(FaultKind.HOST_CRASH, name)
             window = plan.window_ns(FaultKind.DEGRADED_HOST,
-                                    f"{self._scope}/{name}", horizon_ns)
+                                    f"{scope}/{name}", horizon_ns)
             if window is not None:
                 node.degraded_window = window
                 self._log_fault(FaultKind.DEGRADED_HOST, name)
         for zone in self.zones:
             window = plan.window_ns(FaultKind.ZONE_PARTITION,
-                                    f"{self._scope}/{zone}", horizon_ns)
+                                    f"{scope}/{zone}", horizon_ns)
             if window is not None:
                 self.monitor.partitions[zone] = window
                 self._log_fault(FaultKind.ZONE_PARTITION, zone)
             window = plan.window_ns(FaultKind.COLLATERAL_OUTAGE,
-                                    f"{self._scope}/{zone}", horizon_ns)
+                                    f"{scope}/{zone}", horizon_ns)
             if window is not None:
                 self.collateral.outages[zone] = window
                 self._log_fault(FaultKind.COLLATERAL_OUTAGE, zone)
@@ -320,8 +304,8 @@ class ClusterGateway:
         self._mix = mix
         self._generator = generator
         self._total_requests = traffic.requests
-        self._slow_factor = (self._plan.slow_factor
-                             if self._plan is not None else 1.0)
+        self._slow_factor = (self._faults.plan.slow_factor
+                             if self._faults is not None else 1.0)
         self._install_faults(traffic.horizon_ns)
         self._prewarm(mix)
 
@@ -329,7 +313,7 @@ class ClusterGateway:
         first_gap = generator.next_gap_ns(0.0)
         events.push(first_gap, _ARRIVAL, self._make_request(0, first_gap))
         events.push(self.monitor.probe_interval_ns, _PROBE, None)
-        events.push(self.autoscale_interval_ns, _AUTOSCALE, None)
+        events.push(AUTOSCALE_INTERVAL_NS, _AUTOSCALE, None)
 
         processed = 0
         makespan = 0.0
@@ -516,7 +500,7 @@ class ClusterGateway:
             req = attempt.req
             if not req.done and not req.hedged:
                 req.hedged = True
-                self._events.push(now_ns + self.hedge_delay_ns,
+                self._events.push(now_ns + HEDGE_DELAY_NS,
                                   _HEDGE, attempt)
 
     def _on_hedge(self, now_ns: float, attempt: _Attempt) -> None:
@@ -576,7 +560,7 @@ class ClusterGateway:
                 self._autoscale_changes += 1
         self._drain_queue(now_ns)
         if self._finalized < self._total_requests:
-            self._events.push(now_ns + self.autoscale_interval_ns,
+            self._events.push(now_ns + AUTOSCALE_INTERVAL_NS,
                               _AUTOSCALE, None)
 
     # -- queue + finalisation ------------------------------------------
@@ -588,7 +572,7 @@ class ClusterGateway:
             if req.done:                 # hedged/delivered while queued
                 queue.popleft()
                 continue
-            if now_ns - req.enqueued_ns > self.queue_deadline_ns:
+            if now_ns - req.enqueued_ns > QUEUE_DEADLINE_NS:
                 queue.popleft()
                 self.report.queue_timeouts += 1
                 self._finalize_shed(req, now_ns)

@@ -694,12 +694,12 @@ class TrialRunner:
         when no trial completes for this many real seconds, the worker
         pool is presumed stuck and respawned.  Only meaningful with
         ``jobs > 1``.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` to
-        aggregate into (one is created when omitted).  Results are
-        observed in **spec order** after each ``run`` — never from
-        completion-order callbacks — so a parallel run's snapshot is
-        byte-identical to a serial run's.
+
+    Every runner aggregates into its own
+    :class:`~repro.obs.metrics.MetricsRegistry`, :attr:`metrics`.
+    Results are observed in **spec order** after each ``run`` — never
+    from completion-order callbacks — so a parallel run's snapshot is
+    byte-identical to a serial run's.
     """
 
     def __init__(self, jobs: int = 1,
@@ -707,8 +707,7 @@ class TrialRunner:
                  faults: "str | FaultPlan | None" = None,
                  journal=None,
                  budget_ns: float | None = None,
-                 watchdog_s: float | None = None,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 watchdog_s: float | None = None) -> None:
         if jobs < 1:
             raise RunnerError(f"jobs must be >= 1, got {jobs}")
         if budget_ns is not None and budget_ns < 0:
@@ -722,7 +721,7 @@ class TrialRunner:
             self.executor = SerialTrialExecutor()
         self.journal = journal
         self.budget_ns = budget_ns
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.faults = (
             FaultPlan.parse(faults).to_spec() if faults is not None else None
         )

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.errors import SimulationError
 from repro.sim.rng import SimRng
@@ -406,8 +405,8 @@ class FailureEvent:
 class FailureLog:
     """Accumulates failed attempts across the retries of one request."""
 
-    def __init__(self, events: Iterable[FailureEvent] = ()) -> None:
-        self.events: list[FailureEvent] = list(events)
+    def __init__(self) -> None:
+        self.events: list[FailureEvent] = []
 
     def __len__(self) -> int:
         return len(self.events)

@@ -42,7 +42,7 @@ from repro.errors import (
     KeyReleaseDeniedError,
     SupplyChainError,
 )
-from repro.hw.nic import NicModel, wan_path
+from repro.hw.nic import wan_path
 
 #: wrapping one layer key to the launch's transport key (symmetric
 #: wrap + HMAC, far cheaper than the RSA launch verification)
@@ -68,20 +68,21 @@ class KeyRelease:
 
 
 class KeyBrokerService:
-    """Attestation-gated key escrow for encrypted image layers."""
+    """Attestation-gated key escrow for encrypted image layers.
+
+    A release needs an accepted launch verdict *and*, when the service
+    resolves networked collateral, every cached CRL still strictly
+    before its ``next_update``.  The freshness check has no off switch:
+    grace-window collateral may pass verification but never earns a key.
+    """
 
     def __init__(self, service: VerifierService,
-                 require_fresh_collateral: bool = True,
-                 nic: NicModel | None = None,
                  log_capacity: int = 8192) -> None:
         self.service = service
         #: the broker is a remote relying party: every release pays
         #: the RCAR handshake on this path (two exchanges fresh —
         #: challenge then attest — one exchange on session resumption)
-        self.nic = nic if nic is not None else wan_path()
-        #: the stricter-than-verify stance documented above; turn off
-        #: only for deployments that accept grace-window key release
-        self.require_fresh_collateral = require_fresh_collateral
+        self.nic = wan_path()
         self._keys: dict[str, bytes] = {}
         self.request_log = RequestLog(log_capacity)
         self.stats: dict[str, int] = {
@@ -136,7 +137,7 @@ class KeyBrokerService:
             raise self._deny(job, "attestation", "attestation",
                              "launch evidence failed verification")
         collateral = self.service.collateral
-        if self.require_fresh_collateral and collateral is not None:
+        if collateral is not None:
             expiry_ns = collateral.earliest_crl_expiry_ns()
             # strict boundary: a CRL AT next_update is already stale
             # (the convention FreshnessPolicy / CRL.is_stale / the

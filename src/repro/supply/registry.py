@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from repro.attest.crypto import DIGEST_COST_PER_BYTE_NS
 from repro.attest.pcs import RequestLog
 from repro.errors import ImageVerificationError, SupplyChainError
-from repro.hw.nic import NicModel, wan_path
+from repro.hw.nic import wan_path
 from repro.supply.image import (
     SEAL_COST_PER_BYTE_NS,
     ChunkRef,
@@ -62,14 +62,13 @@ class Registry:
     are error markers and do not count as served requests).
     """
 
-    def __init__(self, nic: NicModel | None = None,
-                 log_capacity: int = 8192) -> None:
-        self.nic = nic if nic is not None else wan_path()
+    def __init__(self) -> None:
+        self.nic = wan_path()
         self._manifests: dict[tuple[str, str],
                               tuple[ImageManifest,
                                     ImageSignature | None]] = {}
         self._blobs: dict[str, bytes] = {}
-        self.request_log = RequestLog(log_capacity)
+        self.request_log = RequestLog()
         self.stats: dict[str, int] = {
             "manifest_fetches": 0,
             "chunk_fetches": 0,

@@ -21,10 +21,8 @@ class NormalVmPlatform(TeePlatform):
     """A legacy VM on a host without TEE protections engaged."""
 
     name = "novm"
-
-    def __init__(self, seed: int = 0, host: str = "xeon-gold-5515") -> None:
-        super().__init__(seed)
-        self.host = host
+    #: the machine the normal VM runs on
+    host = "xeon-gold-5515"
 
     def info(self) -> PlatformInfo:
         return PlatformInfo(

@@ -1,14 +1,12 @@
-"""The unified CollateralTier protocol and its two implementations.
+"""The collateral caches, class by class.
 
-Exactly one collateral-tier implementation per economics model
-exists: :class:`~repro.attest.service.TieredCollateral` (documents
-over a live context) and :class:`~repro.attest.tiers.ZonedCollateral`
-(fixed zone-scale costs, the cluster's per-zone tiers), both under
-the :class:`~repro.attest.tiers.CollateralTier` ABC with the same
-``fetch(doc, now_ns)`` surface, tier labels, and counters.
+:class:`~repro.attest.tiers.ZonedCollateral` is the cluster's
+fixed-price zone model; :class:`~repro.attest.service.TieredCollateral`
+resolves real documents through :class:`~repro.attest.tiers.TierStore`
+tiers and counts every resolution in its one ``stats`` dict.  Both
+answer with the same tier labels.  Generated fetch sequences for
+``ZonedCollateral`` live in ``tests/core/test_cluster.py``.
 """
-
-import pytest
 
 from repro.attest import IntelPcs, TieredCollateral
 from repro.attest.tiers import (
@@ -16,8 +14,6 @@ from repro.attest.tiers import (
     HOST_TIER_NS,
     ORIGIN_TIER_NS,
     CollateralDoc,
-    CollateralTier,
-    TierHit,
     TierStore,
     ZonedCollateral,
 )
@@ -32,39 +28,16 @@ def make_ctx(seed=1):
 
 
 class TestProtocol:
-    def test_both_implementations_share_the_abc(self):
-        pcs = IntelPcs(SimRng(1, "infra"))
-        assert isinstance(TieredCollateral(pcs), CollateralTier)
-        assert isinstance(ZonedCollateral(("z1",)), CollateralTier)
-
-    def test_abc_is_abstract(self):
-        with pytest.raises(TypeError):
-            CollateralTier()
-
     def test_standard_hit_keys(self):
-        tier = ZonedCollateral(("z1",))
-        assert set(tier.hits) == set(CollateralTier.HIT_KEYS)
+        tier = ZonedCollateral()
+        assert set(tier.hits) == {"host", "cdn", "origin", "stale",
+                                  "outage_failures", "local"}
         assert all(count == 0 for count in tier.hits.values())
-
-    def test_emit_folds_counters_into_sink(self):
-        class Sink:
-            def __init__(self):
-                self.counts = {}
-
-            def count(self, name, value=1):
-                self.counts[name] = self.counts.get(name, 0) + value
-
-        tier = ZonedCollateral(("z1",))
-        tier.fetch(CollateralDoc(platform="tdx", host="h1", zone="z1"),
-                   0.0)
-        sink = Sink()
-        tier.emit(sink)
-        assert sink.counts["collateral.origin"] == 1
 
 
 class TestZonedCollateral:
     def test_cold_fetch_warms_cdn_then_host(self):
-        tier = ZonedCollateral(("z1",))
+        tier = ZonedCollateral()
         doc = CollateralDoc(platform="tdx", host="h1", zone="z1")
         first = tier.fetch(doc, 0.0)
         assert first.tier == "origin"
@@ -81,30 +54,58 @@ class TestZonedCollateral:
                              "local": 0}
 
     def test_non_networked_platform_is_local_and_free(self):
-        tier = ZonedCollateral(("z1",))
+        tier = ZonedCollateral()
         hit = tier.fetch(CollateralDoc(platform="cca", host="h1",
                                        zone="z1"), 0.0)
         assert hit.tier == "local" and hit.cost_ns == 0.0
         assert tier.hits["local"] == 1
 
+    def test_outage_window_is_half_open_and_per_zone(self):
+        tier = ZonedCollateral()
+        tier.outages["z1"] = (10.0, 20.0)
+        assert not tier.origin_blacked_out("z1", 9.0)
+        assert tier.origin_blacked_out("z1", 10.0)
+        assert tier.origin_blacked_out("z1", 19.0)
+        assert not tier.origin_blacked_out("z1", 20.0)
+        assert not tier.origin_blacked_out("z2", 15.0)
+
+    def test_hostless_fetch_warms_no_host_tier(self):
+        tier = ZonedCollateral()
+        doc = CollateralDoc(platform="sev-snp", host="", zone="z1")
+        assert tier.fetch(doc, 0.0).tier == "origin"
+        # no host to key warmth on: the replica answers every repeat
+        assert tier.fetch(doc, 0.0).tier == "cdn"
+        assert tier.host_warm == {}
+
+
+class TestTierStore:
+    def test_put_get_evict(self):
+        store = TierStore("cdn")
+        assert store.get("crl") is None and len(store) == 0
+        store.put("crl", "doc-1", 5.0)
+        store.put("crl", "doc-2", 7.0)          # a put replaces
+        assert store.get("crl") == ("doc-2", 7.0) and len(store) == 1
+        store.evict("crl")
+        store.evict("crl")                      # evicting twice is fine
+        assert store.get("crl") is None and len(store) == 0
+
 
 class TestServiceTierFetch:
-    def test_context_free_peek_resolves_cached_tiers(self):
+    def test_provider_path_counts_each_tier_in_stats(self):
         pcs = IntelPcs(SimRng(5, "infra"))
         cdn = TierStore("test-cdn")
         collateral = TieredCollateral(pcs, cdn=cdn)
         ctx = make_ctx(2)
-        # warm the tiers through the charged provider path
-        collateral.fetch_root_crl(ctx)
-        hit = collateral.fetch(CollateralDoc(name="root_crl"),
-                               ctx.clock.now())
-        assert isinstance(hit, TierHit)
-        assert hit.tier in ("host", "cdn")
-        assert hit.document is not None
-        assert collateral.hits[hit.tier] >= 1
-
-    def test_peek_misses_cold_cache(self):
-        pcs = IntelPcs(SimRng(6, "infra"))
-        collateral = TieredCollateral(pcs)
-        assert collateral.fetch(CollateralDoc(name="root_crl"),
-                                0.0) is None
+        first = collateral.fetch_root_crl(ctx)
+        again = collateral.fetch_root_crl(ctx)
+        assert again is first
+        # a second host behind the same CDN: its host tier is cold
+        sibling = TieredCollateral(pcs, cdn=cdn)
+        assert sibling.fetch_root_crl(ctx) is first
+        assert collateral.stats["origin.fetches"] == 1
+        assert collateral.stats["host.hits"] == 1
+        assert sibling.stats["cdn.hits"] == 1
+        assert sibling.stats["origin.fetches"] == 0
+        collateral.purge()
+        assert collateral.stats["evictions"] == 2   # host + CDN copy
+        assert len(cdn) == 0

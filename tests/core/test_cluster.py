@@ -4,17 +4,18 @@ Each class covers one module of :mod:`repro.core.cluster` in
 isolation — fleet construction, node lifecycle, placement policy,
 health probing, the brownout ladder, zone collateral as the gateway
 resolves it per node, and the traffic generator.  End-to-end gateway
-sweeps live in ``test_cluster_gateway.py``; the tier store itself is
-tested with the other collateral-tier implementation in
-``tests/attest/test_collateral_tiers.py``.
+sweeps live in ``test_cluster_gateway.py``.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attest.tiers import (
     CDN_TIER_NS,
     HOST_TIER_NS,
     ORIGIN_TIER_NS,
+    NETWORKED_PLATFORMS,
     CollateralDoc,
     ZonedCollateral,
 )
@@ -296,7 +297,7 @@ def node_fetch(collateral, node, platform, now_ns):
 class TestZoneCollateral:
     def test_tiers_warm_on_the_way_through(self):
         nodes = [ClusterNode(p) for p in build_fleet(2)]
-        collateral = ZonedCollateral(DEFAULT_ZONES)
+        collateral = ZonedCollateral()
         # cold everywhere: origin, warming CDN + host
         hit = node_fetch(collateral, nodes[0], "tdx", 0.0)
         assert hit.tier == "origin" and hit.cost_ns == ORIGIN_TIER_NS
@@ -311,7 +312,7 @@ class TestZoneCollateral:
         fleet = build_fleet(6)
         same_zone = [p for p in fleet if p.zone == fleet[0].zone]
         a, b = ClusterNode(same_zone[0]), ClusterNode(same_zone[1])
-        collateral = ZonedCollateral(DEFAULT_ZONES)
+        collateral = ZonedCollateral()
         node_fetch(collateral, a, "tdx", 0.0)                    # origin
         hit = node_fetch(collateral, b, "tdx", 0.0)
         assert hit.tier == "cdn" and hit.cost_ns == CDN_TIER_NS
@@ -320,7 +321,7 @@ class TestZoneCollateral:
         fleet = build_fleet(12)
         same_zone = [p for p in fleet if p.zone == fleet[0].zone]
         node, sibling = ClusterNode(same_zone[0]), ClusterNode(same_zone[1])
-        collateral = ZonedCollateral(DEFAULT_ZONES)
+        collateral = ZonedCollateral()
         node_fetch(collateral, node, "tdx", 0.0)                 # warm CDN
         collateral.outages[node.profile.zone] = (10.0, 100.0)
         hit = node_fetch(collateral, sibling, "tdx", 50.0)
@@ -332,7 +333,7 @@ class TestZoneCollateral:
 
     def test_outage_with_cold_cdn_fails_the_boot(self):
         node = ClusterNode(build_fleet(1)[0])
-        collateral = ZonedCollateral(DEFAULT_ZONES)
+        collateral = ZonedCollateral()
         collateral.outages[node.profile.zone] = (0.0, 100.0)
         assert node_fetch(collateral, node, "tdx", 50.0) is None
         assert collateral.hits["outage_failures"] == 1
@@ -341,10 +342,65 @@ class TestZoneCollateral:
 
     def test_cca_has_nothing_to_fetch(self):
         node = ClusterNode(build_fleet(1)[0])
-        collateral = ZonedCollateral(DEFAULT_ZONES)
+        collateral = ZonedCollateral()
         hit = node_fetch(collateral, node, "cca", 0.0)
         assert hit.tier == "local" and hit.cost_ns == 0.0
         assert collateral.hits["local"] == 1
+
+
+_ZONES = ("z1", "z2")
+
+#: one fetch: (host, zone, platform, virtual ns); "" means no host tier
+_fetches = st.lists(st.tuples(st.sampled_from(("", "h1", "h2", "h3")),
+                              st.sampled_from(_ZONES),
+                              st.sampled_from(("tdx", "sev-snp", "cca")),
+                              st.integers(0, 100).map(float)),
+                    max_size=40)
+#: per-zone origin blackout windows, [start, end) in virtual ns
+_outages = st.dictionaries(
+    st.sampled_from(_ZONES),
+    st.tuples(st.integers(0, 100), st.integers(0, 100)).map(
+        lambda pair: (float(min(pair)), float(max(pair)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fetches=_fetches, outages=_outages)
+def test_zoned_collateral_invariants(fetches, outages):
+    collateral = ZonedCollateral()
+    collateral.outages.update(outages)
+    answered: set[tuple[str, str]] = set()      # (host, platform)
+    origins: dict[tuple[str, str], int] = {}    # (zone, platform)
+    for host, zone, platform, now_ns in fetches:
+        before = dict(collateral.hits)
+        warm = (dict(collateral.host_warm), dict(collateral.cdn_warm))
+        hit = collateral.fetch(
+            CollateralDoc(platform=platform, host=host, zone=zone), now_ns)
+        # exactly one counter moves, by one, and it names the answer
+        (tier,) = [key for key in before
+                   if collateral.hits[key] != before[key]]
+        assert collateral.hits[tier] == before[tier] + 1
+        assert (hit is None) == (tier == "outage_failures")
+        if hit is None:
+            assert warm == (collateral.host_warm, collateral.cdn_warm)
+        else:
+            assert hit.tier == tier
+        assert (tier == "local") == (platform not in NETWORKED_PLATFORMS)
+        window = outages.get(zone)
+        blacked_out = window is not None and window[0] <= now_ns < window[1]
+        if tier in ("stale", "outage_failures"):
+            assert blacked_out
+        if tier in ("cdn", "origin"):
+            assert not blacked_out
+        if tier == "host":
+            assert host and (host, platform) in answered
+        if tier in ("cdn", "stale"):
+            assert origins.get((zone, platform)) == 1
+        if tier == "origin":
+            origins[(zone, platform)] = origins.get((zone, platform), 0) + 1
+            assert origins[(zone, platform)] == 1
+        if hit is not None:
+            answered.add((host, platform))
+    assert sum(collateral.hits.values()) == len(fetches)
 
 
 class TestTraffic:

@@ -20,8 +20,9 @@ AGGRESSIVE = "host-crash=0.9,zone-partition=0.8,degraded-host=0.8,collateral-out
 
 def sweep(requests=4000, rate_rps=2000.0, hosts=6, seed=0, faults=None,
           process="poisson", **gateway_kwargs):
+    context = None if faults is None else FaultContext(faults, "cluster")
     gateway = ClusterGateway(build_fleet(hosts), seed=seed,
-                             faults=faults, **gateway_kwargs)
+                             faults=context, **gateway_kwargs)
     report = gateway.run(TrafficSpec(process=process, requests=requests,
                                      rate_rps=rate_rps))
     return gateway, report

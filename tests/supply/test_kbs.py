@@ -181,21 +181,6 @@ class TestStaleCollateral:
         assert kbs.stats["denied.stale_collateral"] == 1
         assert kbs.stats["released"] == 0
 
-    def test_lenient_broker_accepts_grace_window(self):
-        service, pcs, job = self._stale_service(seed=32)
-        kbs = KeyBrokerService(service, require_fresh_collateral=False)
-        kbs.register_key("k", b"\x01" * 32)
-
-        ctx = make_ctx(5)
-        service.verify_launch(job("m1", ctx), ctx)
-        with pytest.raises(Exception):
-            pcs.fetch_tcb_info(make_ctx(
-                6, faults=FaultContext(ALWAYS_TIMEOUT, "kill")))
-        expiry = service.collateral.earliest_crl_expiry_ns()
-        ctx.clock.advance(expiry - ctx.clock.now() + 1.0)
-        release = kbs.release(job("m1", ctx, wave=1), ("k",), ctx)
-        assert release.keys == {"k": b"\x01" * 32}
-
 
 class _FixedCollateral:
     """Duck-typed collateral with a pinned CRL expiry."""
