@@ -108,8 +108,8 @@ class TieredCollateral:
                  cdn: TierStore | None = None,
                  freshness: FreshnessPolicy | None = None) -> None:
         self.pcs = pcs
-        self.host = TierStore("host")
-        self.cdn = cdn if cdn is not None else TierStore("cdn")
+        self.host = TierStore()
+        self.cdn = cdn if cdn is not None else TierStore()
         self.freshness = (freshness if freshness is not None
                           else DEFAULT_FRESHNESS)
         self.cdn_network = lan_path()

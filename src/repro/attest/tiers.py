@@ -58,10 +58,9 @@ class TierHit:
 class TierStore:
     """One cache tier: endpoint → (document, stored-at virtual ns)."""
 
-    __slots__ = ("name", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.entries: dict[str, tuple[object, float]] = {}
 
     def get(self, endpoint: str) -> "tuple[object, float] | None":

@@ -12,10 +12,14 @@ Two verifiers with deliberately asymmetric I/O profiles:
   fields.  Everything is local, so it is fast.
 
 Both verifiers retry *transient* failures (injected transient
-verification errors and PCS collateral timeouts) under a bounded
-:class:`~repro.sim.faults.RetryPolicy`; each backoff is charged to
-the caller's cost ledger so resilience shows up as latency, exactly
-as it would against the real Intel PCS.
+verification errors and PCS collateral timeouts) under the one retry
+rule of :mod:`repro.sim.faults` (:data:`~repro.sim.faults.MAX_ATTEMPTS`
+attempts, :func:`~repro.sim.faults.backoff_ns` between them).  The loop
+is their own, not :class:`~repro.sim.faults.Retries`: each backoff is
+charged right away to the caller's cost ledger, inside a ``retry``
+span, so resilience shows up as latency, exactly as it would against
+the real Intel PCS, and an SNP verifier's circuit breaker can fail a
+verification fast.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ from repro.errors import (
 )
 from repro.guestos.context import ExecContext
 from repro.sim.faults import (
+    MAX_ATTEMPTS,
     CircuitBreaker,
     FaultContext,
     FaultKind,
-    RetryPolicy,
+    backoff_ns,
 )
 
 
@@ -62,11 +67,10 @@ class VerificationResult:
 def _verify_with_retry(
     verify_once: Callable[[FaultContext | None], VerificationResult],
     ctx: ExecContext,
-    policy: RetryPolicy,
     backoff_charge: Callable[[float], float],
     breaker: CircuitBreaker | None = None,
 ) -> VerificationResult:
-    """Run ``verify_once`` under the retry policy, charging backoffs.
+    """Run ``verify_once`` under the retry rule, charging backoffs.
 
     Each attempt gets its own scoped :class:`FaultContext` (derived
     from ``ctx.faults`` when present) so a retried collateral fetch
@@ -83,7 +87,6 @@ def _verify_with_retry(
     """
     base = getattr(ctx, "faults", None)
     attempt = 0
-    spent = 0.0
     while True:
         if breaker is not None and not breaker.allow(ctx.clock.now()):
             raise CollateralTimeoutError(
@@ -96,16 +99,15 @@ def _verify_with_retry(
         except (TransientAttestationError, CollateralTimeoutError):
             if breaker is not None:
                 breaker.record_failure(ctx.clock.now())
-            if not policy.allows(attempt + 1, spent):
+            if attempt + 1 >= MAX_ATTEMPTS:
                 raise
-            backoff = policy.backoff_ns(attempt)
+            backoff = backoff_ns(attempt)
             trace = getattr(ctx, "trace", None)
             if trace is not None:
                 with trace.span("retry", ctx):
                     backoff_charge(backoff)
             else:
                 backoff_charge(backoff)
-            spent += backoff
             attempt += 1
         else:
             if breaker is not None:
@@ -120,21 +122,11 @@ class TdxVerifier:
     """Remote verifier for TDX quotes (collateral from the PCS)."""
 
     def __init__(self, pcs: IntelPcs, trusted_root: Certificate | None = None,
-                 retry_policy: RetryPolicy | None = None,
-                 breaker: CircuitBreaker | None = None,
                  collateral=None) -> None:
         self.pcs = pcs
         self.trusted_root = (
             trusted_root if trusted_root is not None else pcs.root_ca.certificate
         )
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
-        # Attach the breaker to either the PCS (per-fetch granularity,
-        # cached-collateral fallback) or the verifier (per-attempt
-        # fail-fast) — not the same instance to both, or each timeout
-        # would be counted twice.
-        self.breaker = breaker
         #: where collateral documents come from.  Defaults to the PCS
         #: itself (every fetch is a WAN round-trip); the verifier
         #: service swaps in a
@@ -148,17 +140,16 @@ class TdxVerifier:
         """Full quote verification; charges network + crypto to ``ctx``.
 
         Transient failures (injected transients, PCS timeouts) retry
-        under the verifier's policy with backoff charged as network
-        time.  Raises :class:`QuoteVerificationError` on any failed
-        check, or the last transient error once retries are exhausted.
+        with backoff charged as network time; a circuit breaker, if
+        any, sits on the PCS.  Raises :class:`QuoteVerificationError`
+        on any failed check, or the last transient error once retries
+        are exhausted.
         """
         return _verify_with_retry(
             lambda faults: self._verify_once(
                 quote, ctx, expected_report_data, faults),
             ctx,
-            self.retry_policy,
             ctx.charge_network,
-            breaker=self.breaker,
         )
 
     def _verify_once(self, quote: TdxQuote, ctx: ExecContext,
@@ -249,7 +240,6 @@ class SnpVerifier:
                  breaker: CircuitBreaker | None = None) -> None:
         self.keys = keys
         self.trusted_ark = keys.ark.certificate
-        self.retry_policy = RetryPolicy()
         #: supervises the VCEK/device-cert path: repeated transient
         #: failures trip it, and further verifies fail fast
         self.breaker = breaker
@@ -258,14 +248,13 @@ class SnpVerifier:
                expected_report_data: bytes | None = None) -> VerificationResult:
         """snpguest-style verification; charges local costs to ``ctx``.
 
-        Transient failures retry under the verifier's policy; backoff
-        is charged as crypto time (the flow is entirely local).
+        Transient failures retry; backoff is charged as crypto time
+        (the flow is entirely local).
         """
         return _verify_with_retry(
             lambda faults: self._verify_once(
                 report, ctx, expected_report_data, faults),
             ctx,
-            self.retry_policy,
             ctx.crypto,
             breaker=self.breaker,
         )

@@ -25,7 +25,7 @@ from repro.core.results import InvocationRecord
 from repro.core.storage import FunctionStore
 from repro.errors import GatewayError, OverloadedError, PoolExhaustedError
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import MAX_ATTEMPTS, FaultPlan
 from repro.tee.registry import platform_by_name
 from repro.tee.vm import RunResult
 
@@ -340,7 +340,7 @@ class Gateway:
             elapsed_ns=0.0,
             output=None,
             perf={},
-            attempts=0 if shed else pool.retry_policy.max_attempts,
+            attempts=0 if shed else MAX_ATTEMPTS,
             degraded=True,
             shed=shed,
         )

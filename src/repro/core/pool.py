@@ -13,14 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import PoolExhaustedError, VmError
-from repro.sim.faults import (
-    FailureLog,
-    FaultContext,
-    FaultKind,
-    FaultPlan,
-    RetryPolicy,
-)
-from repro.sim.ledger import CostCategory
+from repro.sim.faults import FaultContext, FaultKind, FaultPlan, Retries
 from repro.sim.rng import SimRng
 from repro.sim.trace import Trace
 from repro.tee.vm import Vm, VmState
@@ -66,8 +59,6 @@ class TeePool:
     workers: list[Worker] = field(default_factory=list)
     _cursor: int = 0
     _rng: SimRng = field(default_factory=lambda: SimRng(0, "pool"))
-    #: bounds the failover loop in :meth:`run_resilient`
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: optional ``worker -> Worker | None`` callable replacing an
     #: evicted worker (the gateway wires :meth:`Host.respawn_vm` here)
     respawn: "object | None" = None
@@ -155,42 +146,38 @@ class TeePool:
         A worker whose VM has been destroyed (or refuses to run) is
         evicted from the pool; if :attr:`respawn` is wired, a
         replacement worker is provisioned in its place, and the request
-        is retried on the next pick — bounded by :attr:`retry_policy`
-        rather than looping forever.  The wasted virtual time of the
-        dead attempts plus the retry backoff is charged to the
+        is retried on the next pick, through
+        :class:`~repro.sim.faults.Retries` (at most
+        :data:`~repro.sim.faults.MAX_ATTEMPTS` attempts).  The wasted
+        virtual time of the dead attempts plus the retry backoff, and
+        the serving worker's admission time, are charged to the
         surviving result's STARTUP bucket (visible in ``total_ns``,
         excluded from the paper's ``elapsed_ns`` metric).
 
         With :attr:`faults` set, each attempt can inject a worker
         failure (the VM is destroyed just before dispatch) drawn from
-        the plan's seeded substreams.
+        the plan's seeded substreams, scoped
+        ``pool/{platform}/{side}/{name}/t{trial}/a{attempt}``.
 
         Raises :class:`PoolExhaustedError` when no worker survives
-        within the policy's bounds.
+        :data:`~repro.sim.faults.MAX_ATTEMPTS` attempts.
         """
-        failures = FailureLog()
-        injected: list[str] = []
-        attempt = 0
+        retries = Retries(self.faults,
+                          f"pool/{self.platform}/{self.side}/{name}/t{trial}")
         last_exc: Exception | None = None
-        while self.retry_policy.allows(attempt, failures.surcharge_ns):
+        for faults in retries:
             try:
                 worker = self.pick()
             except PoolExhaustedError as exc:
                 last_exc = exc
                 break
-            faults = None
-            if self.faults is not None and self.faults.active:
-                side = "secure" if self.secure else "normal"
-                faults = FaultContext(
-                    self.faults,
-                    f"pool/{self.platform}/{side}/{name}/t{trial}/a{attempt}",
-                )
-                if (faults.triggers(FaultKind.VM_CRASH, "worker")
-                        and worker.vm.state is not VmState.DESTROYED):
-                    worker.vm.state = VmState.DESTROYED
+            if (faults is not None
+                    and faults.triggers(FaultKind.VM_CRASH, "worker")
+                    and worker.vm.state is not VmState.DESTROYED):
+                worker.vm.state = VmState.DESTROYED
             admission_ns = self._admit_worker(worker)
             trace = Trace()
-            failures.replay(trace)
+            retries.failures.replay(trace)
             try:
                 result = self.run_on(worker, workload, name=name, trial=trial,
                                      trace=trace, faults=faults)
@@ -203,28 +190,14 @@ class TeePool:
                         self.respawns += 1
                         self._count("respawns")
                         wasted += replacement.vm.boot_time_ns
-                failures.add(type(exc).__name__, wasted_ns=wasted,
-                             backoff_ns=self.retry_policy.backoff_ns(attempt))
-                if faults is not None:
-                    injected.extend(faults.injected)
+                retries.fail(exc, wasted)
                 last_exc = exc
-                attempt += 1
                 continue
-            if faults is not None:
-                injected.extend(faults.injected)
-            surcharge = failures.surcharge_ns + admission_ns
-            if surcharge > 0:
-                result.ledger.charge(CostCategory.STARTUP, surcharge)
-                result.total_ns += surcharge
-            if attempt or injected:
-                result.attempts = attempt + 1
-                result.faults_injected = tuple(injected)
             self._count("served")
-            return result
+            return retries.succeed(result, admission_ns)
         raise PoolExhaustedError(
-            f"pool {self.platform}/{'secure' if self.secure else 'normal'}: "
-            f"request {name!r} trial {trial} failed after {attempt} "
-            f"attempt(s)"
+            f"pool {self.platform}/{self.side}: request {name!r} trial "
+            f"{trial} failed after {retries.attempt} attempt(s)"
         ) from last_exc
 
     def _admit_worker(self, worker: Worker) -> float:

@@ -45,12 +45,7 @@ from repro.errors import (
 )
 from repro.hw.perfcounters import PerfCounters
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.faults import (
-    DEFAULT_RETRY_POLICY,
-    FailureLog,
-    FaultContext,
-    FaultPlan,
-)
+from repro.sim.faults import FailureLog, FaultContext, FaultPlan, Retries
 from repro.sim.ledger import CostCategory, CostLedger
 from repro.sim.rng import SimRng
 from repro.sim.trace import Trace
@@ -328,12 +323,13 @@ def execute_trial(spec: TrialSpec) -> RunResult:
 
     With a fault plan set on the spec, retryable failures (VM crashes,
     attestation transients/timeouts that exhausted the verifier's own
-    retries) re-run the trial on a fresh VM under
-    :data:`~repro.sim.faults.DEFAULT_RETRY_POLICY`; the dead attempts'
-    wasted time plus backoff is charged to the surviving result's
-    STARTUP bucket and replayed into its trace as ``failure``/``retry``
-    spans.  A trial that exhausts its attempts returns a *degraded*
-    result rather than raising, so no trial is ever silently dropped.
+    retries) re-run the trial on a fresh VM through
+    :class:`~repro.sim.faults.Retries`, scoped by the spec's stream
+    label; the dead attempts' wasted time plus backoff is charged to
+    the surviving result's STARTUP bucket and replayed into its trace
+    as ``failure``/``retry`` spans.  A trial that exhausts its attempts
+    returns a *degraded* result rather than raising, so no trial is
+    ever silently dropped.
 
     With ``budget_ns`` set on the spec, an attempt whose total virtual
     time exceeds the budget is treated as stuck and killed at the
@@ -353,40 +349,21 @@ def execute_trial(spec: TrialSpec) -> RunResult:
         failures.add(TrialBudgetError.__name__, wasted_ns=spec.budget_ns)
         return _degraded_result(spec, failures, [], 1)
 
-    policy = DEFAULT_RETRY_POLICY
-    label = spec._stream_label()
-    failures = FailureLog()
-    injected: list[str] = []
-    attempt = 0
-    while policy.allows(attempt, failures.surcharge_ns):
-        faults = FaultContext(plan, f"{label}/a{attempt}")
+    retries = Retries(plan, spec._stream_label())
+    for faults in retries:
         try:
-            result = _attempt_trial(spec, faults, failures)
+            result = _attempt_trial(spec, faults, retries.failures)
             if _over_budget(spec, result):
                 raise TrialBudgetError(
                     f"trial exceeded its {spec.budget_ns:g} ns budget",
                     wasted_ns=spec.budget_ns,
                 )
         except (VmCrashError, AttestationError, TrialBudgetError) as exc:
-            injected.extend(faults.injected)
-            final = not policy.allows(attempt + 1, failures.surcharge_ns)
-            failures.add(
-                type(exc).__name__,
-                wasted_ns=getattr(exc, "wasted_ns", 0.0),
-                backoff_ns=0.0 if final else policy.backoff_ns(attempt),
-            )
-            attempt += 1
+            retries.fail(exc, getattr(exc, "wasted_ns", 0.0))
             continue
-        injected.extend(faults.injected)
-        surcharge = failures.surcharge_ns
-        if surcharge > 0:
-            result.ledger.charge(CostCategory.STARTUP, surcharge)
-            result.total_ns += surcharge
-        if attempt or injected:
-            result.attempts = attempt + 1
-            result.faults_injected = tuple(injected)
-        return result
-    return _degraded_result(spec, failures, injected, attempt)
+        return retries.succeed(result)
+    return _degraded_result(spec, retries.failures, retries.injected,
+                            retries.attempt)
 
 
 def _over_budget(spec: TrialSpec, result: RunResult) -> bool:
@@ -785,14 +762,3 @@ class TrialRunner:
 
         self.executor.map(execute_trial, [spec for _, spec in pending],
                           on_result=on_result)
-
-    def run_cells(self, plan: TrialPlan) -> dict[tuple, list[RunResult]]:
-        """Execute a plan and group results by spec ``cell``.
-
-        Returns ``{(platform, workload, runtime, secure): [results in
-        trial order]}`` — the shape every aggregating harness wants.
-        """
-        grouped: dict[tuple, list[RunResult]] = {}
-        for spec, result in zip(plan, self.run(plan)):
-            grouped.setdefault(spec.cell, []).append(result)
-        return grouped

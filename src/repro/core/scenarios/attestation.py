@@ -113,7 +113,7 @@ def _attestation_service_body(spec: TrialSpec) -> Callable:
         infra = _infrastructure(flavor, infra_seed,
                                 "attest-service-infra", ctx)
         waves = _WAVES[infra.platform]
-        cdn = TierStore("cluster-cdn")
+        cdn = TierStore()
         prefix = flavor.partition("-")[0]
         services = {
             host: infra.service(f"{prefix}-{host}", cdn=cdn,

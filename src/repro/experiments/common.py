@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 
-from repro.core.runner import TrialPlan, TrialRunner
+from repro.core.runner import TrialPlan, TrialRunner, TrialSpec
 from repro.errors import GatewayError
 from repro.tee.vm import RunResult
 
@@ -39,6 +39,29 @@ def default_runner(runner: TrialRunner | None) -> TrialRunner:
     return runner if runner is not None else TrialRunner()
 
 
+def completed(runner: TrialRunner,
+              plan: TrialPlan) -> list[tuple[TrialSpec, RunResult]]:
+    """Run a plan; the ``(spec, result)`` pairs that completed, in order.
+
+    Every harness reads its results through here.  A degraded trial
+    carries no measurement (``output`` is None, ``elapsed_ns`` is 0),
+    so it is dropped; a cell left with no completed trial cannot be
+    reported and raises a clean :class:`~repro.errors.GatewayError`
+    naming its side, rather than a harness failing on a missing output.
+    """
+    pairs = list(zip(plan, runner.run(plan)))
+    kept = [(spec, result) for spec, result in pairs if not result.degraded]
+    lost = {spec.cell for spec, _ in pairs} - {spec.cell for spec, _ in kept}
+    empty = [side for side, secure in (("secure", True), ("normal", False))
+             if any(cell[3] == secure for cell in lost)]
+    if empty:
+        raise GatewayError(
+            f"no completed trials on the {' or '.join(empty)} side of a "
+            "cell (every attempt degraded — budget too tight or fault "
+            "rates too high); cannot report that cell")
+    return kept
+
+
 def matched_cells(
     runner: TrialRunner,
     plan: TrialPlan,
@@ -46,33 +69,19 @@ def matched_cells(
     """Run a plan and pair up its secure/normal sides.
 
     Returns ``{(platform, workload, runtime): {"secure": [...],
-    "normal": [...]}}`` with results in trial order — the shape every
-    ratio-reporting harness aggregates from.
+    "normal": [...]}}`` with the :func:`completed` results in trial
+    order — the shape every ratio-reporting harness aggregates from.
     """
     paired: dict[tuple, dict[str, list[RunResult]]] = {}
-    for cell, results in runner.run_cells(plan).items():
-        platform, workload, runtime, secure = cell
+    for spec, result in completed(runner, plan):
+        platform, workload, runtime, secure = spec.cell
         entry = paired.setdefault((platform, workload, runtime),
                                   {"secure": [], "normal": []})
-        entry["secure" if secure else "normal"].extend(results)
+        entry["secure" if secure else "normal"].append(result)
     return paired
 
 
 def cell_ratio(sides: dict[str, list[RunResult]]) -> float:
-    """Mean secure / mean normal elapsed time for one matched cell.
-
-    Degraded trials carry no measurement (``elapsed_ns`` is 0), so
-    they are excluded from both means; a cell with no surviving trial
-    on either side cannot produce a ratio and raises a clean
-    :class:`~repro.errors.GatewayError` instead of dividing by zero.
-    """
-    usable = {side: [r for r in results if not r.degraded]
-              for side, results in sides.items()}
-    empty = [side for side in ("secure", "normal") if not usable[side]]
-    if empty:
-        raise GatewayError(
-            f"no completed trials on the {' or '.join(empty)} side of a "
-            "cell (every attempt degraded — budget too tight or fault "
-            "rates too high); cannot compute a secure/normal ratio")
-    return (mean(r.elapsed_ns for r in usable["secure"])
-            / mean(r.elapsed_ns for r in usable["normal"]))
+    """Mean secure / mean normal elapsed time for one matched cell."""
+    return (mean(r.elapsed_ns for r in sides["secure"])
+            / mean(r.elapsed_ns for r in sides["normal"]))

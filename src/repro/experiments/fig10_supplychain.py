@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.core.runner import TrialPlan, TrialRunner
 from repro.errors import SupplyChainError
-from repro.experiments.common import default_runner, mean
+from repro.experiments.common import completed, default_runner, mean
 from repro.experiments.report import render_table
 
 #: platforms with a modelled attestation flow (LaunchAttestor.SUPPORTED)
@@ -112,7 +112,7 @@ def run_fig10(seed: int = 0, trials: int = 1, vms: int = 3,
 
     per_cell: dict[str, list[dict]] = {}
     result = Fig10SupplyResult()
-    for trial_result in runner.run(plan):
+    for _, trial_result in completed(runner, plan):
         output = trial_result.output
         cell = f"{trial_result.platform}/{trial_result.workload}"
         per_cell.setdefault(cell, []).append(output)
@@ -139,10 +139,7 @@ def run_fig10(seed: int = 0, trials: int = 1, vms: int = 3,
         for strategy in STRATEGIES:
             for side in SIDES:
                 cell = f"{platform}/{strategy}-{side}"
-                outputs = per_cell.get(cell)
-                if not outputs:
-                    raise SupplyChainError(
-                        f"no trial results for cell {cell!r}")
+                outputs = per_cell[cell]
                 result.rows[cell] = {
                     "cold_boot_ns": mean(
                         mean(o["boot_ns"]["wave1"]) for o in outputs),

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.runner import TrialPlan, TrialRunner
-from repro.experiments.common import default_runner, mean
+from repro.experiments.common import completed, default_runner, mean
 from repro.experiments.report import render_log_bars
 from repro.sim.ledger import CostCategory
 
@@ -72,7 +72,7 @@ def run_fig5(seed: int = 0, trials: int = 5,
     attest: dict[str, list[float]] = {p: [] for p in _FLAVORS}
     check: dict[str, list[float]] = {p: [] for p in _FLAVORS}
     tdx_check_network: list[float] = []
-    for result in runner.run(plan):
+    for _, result in completed(runner, plan):
         platform = result.platform
         attest_span = result.trace.find("attest")
         check_span = result.trace.find("check")

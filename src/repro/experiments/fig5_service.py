@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.runner import TrialPlan, TrialRunner
-from repro.experiments.common import default_runner, mean
+from repro.experiments.common import completed, default_runner, mean
 from repro.experiments.report import render_log_bars
 
 #: platform -> the service trial flavor the body factory resolves.
@@ -91,7 +91,7 @@ def run_fig5_service(seed: int = 0, trials: int = 3,
     counters: dict[str, int] = {}
     reconciled = True
     queue_depth_peak = 0
-    for result in runner.run(plan):
+    for _, result in completed(runner, plan):
         platform = result.platform
         output = result.output
         for tier, values in output["tiers"].items():

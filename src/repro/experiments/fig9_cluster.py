@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.runner import TrialPlan, TrialRunner
-from repro.errors import GatewayError
-from repro.experiments.common import default_runner, mean
+from repro.experiments.common import completed, default_runner, mean
 from repro.experiments.report import render_table
 
 #: the arrival processes each sweep covers (one spec per process)
@@ -111,7 +110,7 @@ def run_fig9(seed: int = 0, trials: int = 1, hosts: int = 8,
     per_process: dict[str, list[dict]] = {}
     zone_samples: dict[str, list[float]] = {}
     result = Fig9ClusterResult()
-    for trial_result in runner.run(plan):
+    for _, trial_result in completed(runner, plan):
         output = trial_result.output
         process = trial_result.workload
         per_process.setdefault(process, []).append(output)
@@ -142,9 +141,7 @@ def run_fig9(seed: int = 0, trials: int = 1, hosts: int = 8,
     runner.metrics.count("cluster.conserved", int(result.conserved))
 
     for process in processes:
-        outputs = per_process.get(process)
-        if not outputs:
-            raise GatewayError(f"no trial results for process {process!r}")
+        outputs = per_process[process]
         result.rows[process] = {
             "served": mean(o["served"] for o in outputs),
             "shed_rate": mean(o["shed"] / o["requests"] for o in outputs),

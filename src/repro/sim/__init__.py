@@ -16,8 +16,9 @@ This package provides the foundation every other layer builds on:
   per-span ledger deltas.
 - :mod:`repro.sim.faults` — seeded fault injection (:class:`FaultPlan`)
   with the same label-derived substream scheme as the jitter streams,
-  plus the :class:`RetryPolicy` / :class:`FailureLog` machinery the
-  failure-handling layers build on.
+  plus the one retry rule (:class:`Retries`, :data:`MAX_ATTEMPTS`,
+  :func:`backoff_ns`) and the :class:`FailureLog` the failure-handling
+  layers build on.
 
 All timing in the reproduction is virtual: for a fixed seed, every
 experiment is reproducible bit-for-bit while still exhibiting realistic
@@ -30,7 +31,7 @@ from repro.sim.faults import (
     FaultContext,
     FaultKind,
     FaultPlan,
-    RetryPolicy,
+    Retries,
 )
 from repro.sim.ledger import CostCategory, CostLedger
 from repro.sim.rng import SimRng
@@ -46,6 +47,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FaultContext",
-    "RetryPolicy",
+    "Retries",
     "FailureLog",
 ]

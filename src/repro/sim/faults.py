@@ -21,19 +21,23 @@ The determinism contract:
 - A zero rate short-circuits to False *without drawing*, so a
   zero-rate plan is byte-identical to running with no plan at all.
 
-:class:`RetryPolicy` bounds the failure handling built on top
-(bounded attempts, exponential backoff charged to the cost ledger,
-an optional per-trial virtual-time deadline), and :class:`FailureLog`
-replays failed attempts into a :class:`~repro.sim.trace.Trace` as
-structured ``failure`` / ``retry`` spans.
+Failure handling built on top follows one rule: at most
+:data:`MAX_ATTEMPTS` attempts, with an exponential :func:`backoff_ns`
+charged between them and none after the last.  :class:`Retries` runs
+that rule for the trial runner and the TEE pool, and
+:class:`FailureLog` replays failed attempts into a
+:class:`~repro.sim.trace.Trace` as structured ``failure`` / ``retry``
+spans.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.errors import SimulationError
+from repro.sim.ledger import CostCategory
 from repro.sim.rng import SimRng
 from repro.sim.trace import Trace
 
@@ -240,37 +244,67 @@ class FaultContext:
         return f"FaultContext(scope={self.scope!r})"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with exponential, ledger-charged backoff."""
+#: Attempts a retried unit of work gets before it gives up.
+MAX_ATTEMPTS = 3
 
-    max_attempts: int = 3
-    backoff_base_ns: float = 2_000_000.0
-    backoff_factor: float = 2.0
-    deadline_ns: float | None = None    # virtual-time budget for retries
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise SimulationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_ns < 0 or self.backoff_factor < 1.0:
-            raise SimulationError("backoff must be non-negative and "
-                                  "non-shrinking")
-
-    def backoff_ns(self, attempt: int) -> float:
-        """Backoff charged before retrying after failed ``attempt``."""
-        return self.backoff_base_ns * self.backoff_factor ** attempt
-
-    def allows(self, attempt: int, spent_ns: float) -> bool:
-        """Whether attempt number ``attempt`` (0-based) may start."""
-        if attempt >= self.max_attempts:
-            return False
-        if self.deadline_ns is not None and spent_ns >= self.deadline_ns:
-            return False
-        return True
+#: Backoff before the first retry; each later retry waits twice as long.
+BACKOFF_BASE_NS = 2_000_000.0
 
 
-DEFAULT_RETRY_POLICY = RetryPolicy()
+def backoff_ns(attempt: int) -> float:
+    """Backoff charged before retrying after failed ``attempt`` (0-based)."""
+    return BACKOFF_BASE_NS * 2.0 ** attempt
+
+
+class Retries:
+    """The attempts of one retried unit of work, and their bookkeeping.
+
+    Iterating yields up to :data:`MAX_ATTEMPTS` times the attempt's
+    :class:`FaultContext`, scoped ``{label}/a{n}`` (None when the plan
+    is absent or inactive).  The caller reports a failed attempt with
+    :meth:`fail` before it continues, and hands a successful result to
+    :meth:`succeed`.  A failure is charged a backoff only when another
+    attempt follows it.  Once the loop ends, :attr:`attempt` counts the
+    failed attempts and :attr:`failures` holds what they cost.
+    """
+
+    def __init__(self, plan: FaultPlan | None, label: str) -> None:
+        self.plan = plan if plan is not None and plan.active else None
+        self.label = label
+        self.attempt = 0
+        self.failures = FailureLog()
+        self.injected: list[str] = []
+
+    def __iter__(self) -> Iterator[FaultContext | None]:
+        while self.attempt < MAX_ATTEMPTS:
+            faults = None
+            if self.plan is not None:
+                faults = FaultContext(self.plan,
+                                      f"{self.label}/a{self.attempt}")
+                faults.injected = self.injected   # one log for all attempts
+            yield faults
+
+    def fail(self, exc: Exception, wasted_ns: float) -> None:
+        """Record the current attempt as failed with ``exc``."""
+        final = self.attempt + 1 >= MAX_ATTEMPTS
+        self.failures.add(type(exc).__name__, wasted_ns=wasted_ns,
+                          backoff_ns=0.0 if final else backoff_ns(self.attempt))
+        self.attempt += 1
+
+    def succeed(self, result, extra_ns: float = 0.0):
+        """Charge the failures (plus ``extra_ns``) to ``result``'s STARTUP.
+
+        Stamps ``attempts`` and ``faults_injected`` on the result when
+        an attempt failed or a fault fired, and returns the result.
+        """
+        surcharge = self.failures.surcharge_ns + extra_ns
+        if surcharge > 0:
+            result.ledger.charge(CostCategory.STARTUP, surcharge)
+            result.total_ns += surcharge
+        if self.attempt or self.injected:
+            result.attempts = self.attempt + 1
+            result.faults_injected = tuple(self.injected)
+        return result
 
 
 class BreakerState(enum.Enum):

@@ -1,17 +1,22 @@
 """Integration tests: the circuit breaker supervising collateral fetches.
 
-The PCS-attached breaker gives per-fetch granularity with a
-cached-collateral fallback; the verifier-attached breaker gives
-per-attempt fail-fast.  Both are exercised here against an
-always-firing ``pcs-timeout`` fault plan.
+The PCS-attached breaker (TDX) gives per-fetch granularity with a
+cached-collateral fallback, exercised here against an always-firing
+``pcs-timeout`` fault plan; the verifier-attached breaker (SEV-SNP)
+gives per-attempt fail-fast.
 """
 
 import pytest
 
-from repro.attest import IntelPcs, QuotingEnclave, TdxVerifier, generate_tdx_quote
+from repro.attest import (
+    AmdKeyInfrastructure,
+    IntelPcs,
+    SnpVerifier,
+    generate_snp_report,
+)
 from repro.errors import CollateralTimeoutError
 from repro.guestos.context import ExecContext
-from repro.hw.machine import xeon_gold_5515
+from repro.hw.machine import epyc_9124, xeon_gold_5515
 from repro.sim.faults import (
     BreakerState,
     CircuitBreaker,
@@ -19,7 +24,7 @@ from repro.sim.faults import (
     FaultPlan,
 )
 from repro.sim.rng import SimRng
-from repro.tee.tdx import TdxModule
+from repro.tee.sevsnp import AmdSecureProcessor
 
 ALWAYS_TIMEOUT = FaultPlan.parse("pcs-timeout=1.0,seed=1")
 
@@ -27,8 +32,8 @@ ALWAYS_TIMEOUT = FaultPlan.parse("pcs-timeout=1.0,seed=1")
 NEVER_COOLS_NS = 1e18
 
 
-def make_ctx(seed=1, faults=None):
-    return ExecContext(machine=xeon_gold_5515(),
+def make_ctx(seed=1, faults=None, machine=None):
+    return ExecContext(machine=machine or xeon_gold_5515(),
                        rng=SimRng(seed, "breaker-ctx"), faults=faults)
 
 
@@ -109,18 +114,18 @@ class TestPcsBreaker:
 
 class TestVerifierBreaker:
     def test_open_circuit_fails_fast_without_retries(self):
-        rng = SimRng(42, "tdx-flow")
-        pcs = IntelPcs(rng)
-        qe = QuotingEnclave(pcs, rng)
-        quote = generate_tdx_quote(TdxModule(), qe, pcs, make_ctx(1), b"n")
+        rng = SimRng(42, "snp-flow")
+        keys = AmdKeyInfrastructure(rng)
+        report = generate_snp_report(AmdSecureProcessor(), keys,
+                                     make_ctx(1, machine=epyc_9124()), b"n")
         breaker = CircuitBreaker("verify", failure_threshold=1,
                                  cooldown_ns=NEVER_COOLS_NS)
         breaker.record_failure(0.0)   # pre-tripped
-        verifier = TdxVerifier(pcs, breaker=breaker)
-        ctx = make_ctx(2)
+        verifier = SnpVerifier(keys, breaker=breaker)
+        ctx = make_ctx(2, machine=epyc_9124())
         before = ctx.ledger.total()
         with pytest.raises(CollateralTimeoutError, match="failing fast"):
-            verifier.verify(quote, ctx, expected_report_data=b"n")
-        # no attempt ran: nothing was fetched, nothing was charged
+            verifier.verify(report, ctx, expected_report_data=b"n")
+        # no attempt ran: no device certs fetched, nothing was charged
         assert ctx.ledger.total() == before
         assert breaker.shorted == 1

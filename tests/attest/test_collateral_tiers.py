@@ -80,7 +80,7 @@ class TestZonedCollateral:
 
 class TestTierStore:
     def test_put_get_evict(self):
-        store = TierStore("cdn")
+        store = TierStore()
         assert store.get("crl") is None and len(store) == 0
         store.put("crl", "doc-1", 5.0)
         store.put("crl", "doc-2", 7.0)          # a put replaces
@@ -93,7 +93,7 @@ class TestTierStore:
 class TestServiceTierFetch:
     def test_provider_path_counts_each_tier_in_stats(self):
         pcs = IntelPcs(SimRng(5, "infra"))
-        cdn = TierStore("test-cdn")
+        cdn = TierStore()
         collateral = TieredCollateral(pcs, cdn=cdn)
         ctx = make_ctx(2)
         first = collateral.fetch_root_crl(ctx)

@@ -194,8 +194,6 @@ class TestVerifierRetries:
             FaultPlan.parse(f"pcs-timeout=0.25,seed={seed}"), "req")
 
     def test_pcs_timeout_retry_charges_network(self, tdx_world):
-        from repro.sim.faults import RetryPolicy
-
         pcs, qe, module = tdx_world
         quote = generate_tdx_quote(module, qe, pcs, tdx_ctx(), b"n")
 
@@ -209,8 +207,7 @@ class TestVerifierRetries:
             ctx.faults = self._timeout_plan(seed)
             mark = len(pcs.request_log)
             try:
-                result = TdxVerifier(
-                    pcs, retry_policy=RetryPolicy()).verify(
+                result = TdxVerifier(pcs).verify(
                     quote, ctx, expected_report_data=b"n")
             except AttestationError:
                 continue

@@ -68,7 +68,7 @@ class TestTieredCollateral:
     def test_fallback_order_and_charges(self):
         """origin on the cold path, host tier after, CDN for a cold
         host behind a warm cluster — each strictly cheaper."""
-        cdn = TierStore("cluster")
+        cdn = TierStore()
         service_a, pcs, job = make_tdx_service(cdn=cdn)
         ctx = make_ctx(1)
 

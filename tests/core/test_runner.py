@@ -17,6 +17,7 @@ from repro.core.runner import (
     build_body,
     execute_trial,
 )
+from repro.experiments.common import matched_cells
 from repro.runtimes.registry import RUNTIME_NAMES
 from repro.workloads.faas import FIGURE_WORKLOAD_NAMES
 
@@ -235,13 +236,16 @@ class TestExecutors:
 
 
 class TestRunnerApi:
-    def test_run_cells_groups_by_cell(self):
+    def test_matched_cells_groups_by_cell(self):
         plan = small_plan("tdx", trials=2)
-        cells = TrialRunner().run_cells(plan)
-        assert set(cells) == {("tdx", "cpustress", "lua", True),
-                              ("tdx", "cpustress", "lua", False)}
-        for results in cells.values():
-            assert [r.trial for r in results] == [0, 1]
+        cells = matched_cells(TrialRunner(), plan)
+        assert set(cells) == {("tdx", "cpustress", "lua")}
+        for sides in cells.values():
+            assert set(sides) == {"secure", "normal"}
+            assert {r.secure for r in sides["secure"]} == {True}
+            assert {r.secure for r in sides["normal"]} == {False}
+            for side in sides.values():
+                assert [r.trial for r in side] == [0, 1]
 
     def test_unknown_kind_raises(self):
         spec = TrialSpec.make(kind="nope", platform="tdx", secure=True,

@@ -4,15 +4,19 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.faults import (
+    BACKOFF_BASE_NS,
     CRASH_WASTE_SCALE_NS,
+    MAX_ATTEMPTS,
     BreakerState,
     CircuitBreaker,
     FailureLog,
     FaultContext,
     FaultKind,
     FaultPlan,
-    RetryPolicy,
+    Retries,
+    backoff_ns,
 )
+from repro.sim.ledger import CostCategory, CostLedger
 from repro.sim.trace import Trace
 
 
@@ -127,42 +131,88 @@ class TestFaultContext:
         assert parent.injected == ["pcs-timeout@/tcb"]
 
 
-class TestRetryPolicy:
+class TestRetryRule:
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_base_ns=10.0, backoff_factor=3.0)
-        assert policy.backoff_ns(0) == 10.0
-        assert policy.backoff_ns(2) == 90.0
+        assert backoff_ns(0) == BACKOFF_BASE_NS == 2_000_000.0
+        assert backoff_ns(2) == 4 * BACKOFF_BASE_NS
+        assert MAX_ATTEMPTS == 3
 
-    def test_allows_bounds_attempts_and_deadline(self):
-        policy = RetryPolicy(max_attempts=2, deadline_ns=100.0)
-        assert policy.allows(0, 0.0)
-        assert policy.allows(1, 99.0)
-        assert not policy.allows(2, 0.0)
-        assert not policy.allows(1, 100.0)
 
-    def test_deadline_boundary_is_exclusive(self):
-        # The deadline is a budget, not a timestamp: an attempt that
-        # would start with the budget exactly exhausted is refused.
-        # spent_ns == deadline_ns must behave like spent > deadline,
-        # and the next representable float below must still pass.
-        policy = RetryPolicy(max_attempts=10, deadline_ns=1_000_000.0)
-        import math
-        just_under = math.nextafter(1_000_000.0, 0.0)
-        assert policy.allows(0, just_under)
-        assert not policy.allows(0, 1_000_000.0)
-        assert not policy.allows(0, math.nextafter(1_000_000.0, math.inf))
+class _Result:
+    """The fields :meth:`Retries.succeed` reads and writes."""
 
-    def test_zero_deadline_refuses_even_first_retry_window(self):
-        # Degenerate budget: with deadline_ns=0 nothing may start at
-        # spent_ns=0.0 (0 >= 0), while deadline_ns=None is unbounded.
-        assert not RetryPolicy(deadline_ns=0.0).allows(0, 0.0)
-        assert RetryPolicy(deadline_ns=None).allows(0, 1e18)
+    def __init__(self) -> None:
+        self.ledger = CostLedger()
+        self.total_ns = 1_000.0
+        self.attempts = 1
+        self.faults_injected: tuple[str, ...] = ()
 
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(SimulationError):
-            RetryPolicy(backoff_factor=0.5)
+
+class TestRetries:
+    def test_attempts_are_scoped_by_label_and_index(self):
+        retries = Retries(FaultPlan.parse("vm-crash=0.5"), "trial/x")
+        scopes = []
+        for faults in retries:
+            scopes.append(faults.scope)
+            retries.fail(RuntimeError("dead"), 0.0)
+        assert scopes == ["trial/x/a0", "trial/x/a1", "trial/x/a2"]
+        assert retries.attempt == MAX_ATTEMPTS
+
+    def test_no_plan_or_inactive_plan_gives_no_context(self):
+        for plan in (None, FaultPlan(rates={FaultKind.VM_CRASH: 0.0})):
+            retries = Retries(plan, "pool")
+            contexts = []
+            for faults in retries:
+                contexts.append(faults)
+                retries.fail(RuntimeError("dead"), 0.0)
+            assert contexts == [None] * MAX_ATTEMPTS
+
+    def test_no_backoff_after_the_final_attempt(self):
+        retries = Retries(None, "t")
+        for _ in retries:
+            retries.fail(RuntimeError("dead"), 10.0)
+        assert [ev.backoff_ns for ev in retries.failures.events] == [
+            backoff_ns(0), backoff_ns(1), 0.0]
+        assert [ev.reason for ev in retries.failures.events] == [
+            "RuntimeError"] * MAX_ATTEMPTS
+        assert retries.failures.surcharge_ns == (
+            30.0 + backoff_ns(0) + backoff_ns(1))
+
+    def test_surcharge_and_extra_time_go_to_startup(self):
+        retries = Retries(None, "t")
+        result = _Result()
+        for attempt, _ in enumerate(retries):
+            if attempt == 0:
+                retries.fail(RuntimeError("dead"), 100.0)
+                continue
+            assert retries.succeed(result, 5.0) is result
+            break
+        expected = 100.0 + backoff_ns(0) + 5.0
+        assert result.ledger.breakdown()[CostCategory.STARTUP] == expected
+        assert result.total_ns == 1_000.0 + expected
+        assert result.attempts == 2
+        assert result.faults_injected == ()
+
+    def test_clean_first_attempt_is_not_stamped(self):
+        result = _Result()
+        retries = Retries(FaultPlan.parse("vm-crash=0.5"), "t")
+        for _ in retries:
+            retries.succeed(result)
+            break
+        assert result.ledger.total() == 0.0
+        assert result.total_ns == 1_000.0
+        assert (result.attempts, result.faults_injected) == (1, ())
+
+    def test_injected_fault_is_stamped_without_a_retry(self):
+        result = _Result()
+        retries = Retries(FaultPlan.parse("slow-trial=1.0"), "t")
+        for faults in retries:
+            assert faults.triggers(FaultKind.SLOW_TRIAL, "execute")
+            retries.succeed(result)
+            break
+        assert result.attempts == 1
+        assert result.faults_injected == ("slow-trial@execute",)
+        assert result.ledger.total() == 0.0
 
 
 class TestFailureLog:
