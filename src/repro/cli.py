@@ -68,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="append the trial records to a JSONL archive")
     compare.add_argument("--label", default="run",
                          help="label for the archived run (default: run)")
+    compare.set_defaults(subparser=compare)
 
     diff = commands.add_parser("diff",
                                help="compare two archived runs' ratios")
@@ -257,6 +258,7 @@ def _cmd_invoke(args) -> int:
 def _cmd_compare(args) -> int:
     from repro.core.api import ConfBench
 
+    _writable_file_arg(args, args.save, "--save")
     bench = ConfBench(seed=args.seed)
     bench.upload(args.function)
     secure = bench.invoke(args.function, args.language,
@@ -283,10 +285,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from repro.core.resultstore import ResultStore, compare_runs
+    from repro.core.resultstore import ResultStore, compare_runs, find_run
 
-    store = ResultStore(args.archive)
-    drift = compare_runs(store.run(args.before), store.run(args.after))
+    runs = ResultStore(args.archive).load()
+    drift = compare_runs(find_run(runs, args.before),
+                         find_run(runs, args.after))
     print(f"ratio drift {args.before!r} -> {args.after!r}:")
     for (function, language, platform), entry in drift.items():
         print(f"  {function}/{language or 'native'} on {platform}: "

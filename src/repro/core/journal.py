@@ -16,17 +16,24 @@ not.
 
 Durability model
 ----------------
-- ``put`` is an atomic append: one ``write`` of a complete line,
-  then ``flush`` + ``fsync``.  A SIGKILL between trials loses nothing;
-  a SIGKILL *during* the write can leave at most one torn final line.
-- On open, a torn final line (no trailing newline, or unparseable) is
-  detected and truncated — never fatal.  Corrupt lines elsewhere in
-  the file are skipped with a warning; their trials simply re-execute.
-- A non-empty file whose first line is not the journal header is
-  refused with a :class:`~repro.errors.GatewayError` and left
-  byte-identical: the journal only ever truncates files it wrote.  The
-  one exception is a file holding nothing but a prefix of the header
-  (a torn first write), which is truncated like any torn line.
+:class:`JsonLines` is the one file discipline of both on-disk stores:
+this journal and the run archive of
+:class:`~repro.core.resultstore.ResultStore`.
+
+- An append is one ``write`` of complete lines, then ``flush`` +
+  ``fsync``.  A SIGKILL between appends loses nothing; a SIGKILL
+  *during* one can leave at most one torn final line.
+- A torn final line (no trailing newline, or not a JSON object) is
+  left out of every read and truncated before the next append — never
+  fatal.  Bad lines elsewhere are skipped with a warning; the trials
+  they held simply re-execute.
+- Before it modifies a non-empty file, a store checks that the first
+  line is its own first entry (the journal header here, a run header
+  in the archive).  Any other file is refused with a
+  :class:`~repro.errors.GatewayError` and left byte-identical: a store
+  only ever truncates files it wrote.  The one exception is a file
+  holding nothing but the start of a first entry (a torn first write),
+  which is truncated like any torn line.
 """
 
 from __future__ import annotations
@@ -42,7 +49,146 @@ from repro.errors import GatewayError
 JOURNAL_VERSION = 1
 
 #: The first line of every journal file.
-_HEADER = json.dumps({"kind": "journal", "version": JOURNAL_VERSION}) + "\n"
+_HEADER = {"kind": "journal", "version": JOURNAL_VERSION}
+
+
+def _object(line: bytes) -> dict | None:
+    """One line as a JSON object, or None when it is not one."""
+    try:
+        value = json.loads(line)
+    except ValueError:   # UnicodeDecodeError included
+        return None
+    return value if isinstance(value, dict) else None
+
+
+class JsonLines:
+    """One append-only JSON-lines file with its crash-safety rules.
+
+    ``header`` holds the keys the first line must carry (its ``kind``
+    names the store's first entry), and ``name`` names the store in
+    errors and warnings.  What the entries mean is the store's business.
+    """
+
+    def __init__(self, path: Path, header: dict, name: str) -> None:
+        self.path = path
+        self._header = header
+        self._name = name
+        #: the noun of line warnings ("journal", "archive")
+        self._noun = name.rpartition(" ")[2]
+        #: human-readable recovery notes (torn line, skipped lines)
+        self.warnings: list[str] = []
+        #: the file's size in bytes while open for appending
+        self.size = 0
+        self._handle = None
+
+    def read(self) -> list[tuple[int, dict]]:
+        """Read-only: the file's entries, leaving a torn tail out."""
+        if not self.path.exists():
+            return []
+        raw = self.path.read_bytes()
+        return self.entries(raw[:self._clean_length(raw, "ignored")])
+
+    def open(self) -> bytes:
+        """Open for appending; returns the file's bytes once repaired.
+
+        A foreign file is refused before anything is written, and a
+        torn final line is truncated so appends start on a clean
+        boundary.
+        """
+        if not self.path.parent.is_dir():
+            raise GatewayError(f"{self._noun} directory does not exist: "
+                               f"{self.path.parent}")
+        if self.path.is_dir():
+            raise GatewayError(f"{self._noun} path is a directory: "
+                               f"{self.path}")
+        raw = self.path.read_bytes() if self.path.exists() else b""
+        if raw:
+            self._check_header(raw)
+        self.size = self._clean_length(raw, "truncated")
+        self._handle = self.path.open("ab")
+        if self.size < len(raw):
+            self._handle.truncate(self.size)
+            os.fsync(self._handle.fileno())
+        return raw[:self.size]
+
+    def _check_header(self, raw: bytes) -> None:
+        """Refuse a file whose first line is not this store's first
+        entry.  A file with no newline at all is a torn first write
+        only if it and the start of a first entry agree."""
+        kind = self._header["kind"]
+        first, newline, _ = raw.partition(b"\n")
+        stem = json.dumps(self._header).encode()[:-1]
+        if not newline and (stem.startswith(raw) or raw.startswith(stem)):
+            return
+        header = _object(first) if newline else None
+        if header is None or header.get("kind") != kind:
+            raise GatewayError(
+                f"{self.path}: not a {self._name} (its first line is not "
+                f"a {kind} header); refusing to modify it")
+        for key, expected in self._header.items():
+            if header.get(key) != expected:
+                raise GatewayError(
+                    f"{self.path}: unsupported {kind} {key} "
+                    f"{header.get(key)!r} (expected {expected!r})")
+
+    def _clean_length(self, raw: bytes, fate: str) -> int:
+        """``raw``'s length without its torn final line, if any.
+
+        A crash tears at most the last line: it lacks its newline, or
+        the newline landed but part of the write did not, so it is not
+        a JSON object.  Bad lines before it stay and are skipped.
+        """
+        keep = raw.rfind(b"\n") + 1
+        if raw and keep == len(raw):
+            start = raw.rfind(b"\n", 0, -1) + 1
+            line = raw[start:-1]
+            if line.strip() and _object(line) is None:
+                keep = start
+        if keep < len(raw):
+            self._warn(f"{self.path}: {fate} torn final line "
+                       f"({len(raw) - keep} bytes)")
+        return keep
+
+    def entries(self, raw: bytes) -> list[tuple[int, dict]]:
+        """Each JSON-object line of ``raw`` with its 1-based number;
+        blank lines are passed over, bad ones skipped with a warning."""
+        entries = []
+        for number, line in enumerate(raw.split(b"\n")[:-1], start=1):
+            if not line.strip():
+                continue
+            entry = _object(line)
+            if entry is None:
+                self.skip(number, f"corrupt {self._noun} line")
+            else:
+                entries.append((number, entry))
+        return entries
+
+    def skip(self, number: int, what: str) -> None:
+        """Warn that line ``number`` was skipped."""
+        self._warn(f"{self.path}:{number}: skipped {what}")
+
+    def _warn(self, message: str) -> None:
+        self.warnings.append(message)
+        warnings.warn(message, stacklevel=3)
+
+    def append(self, entries: list[dict]) -> None:
+        """Durably append ``entries``: one write of complete lines,
+        flushed and fsynced, so a crash after it returns loses none.
+
+        No sort_keys: key order in a payload (e.g. span breakdowns)
+        must survive the round-trip, or replayed results would not be
+        byte-identical to live ones when re-serialised.
+        """
+        data = "".join(json.dumps(entry) + "\n" for entry in entries).encode()
+        self._handle.write(data)
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        self.size += len(data)
+
+    def close(self) -> None:
+        """Close the append handle (idempotent)."""
+        if self._handle is not None:
+            self._handle.close()
 
 
 class TrialJournal:
@@ -57,133 +203,21 @@ class TrialJournal:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        if not self.path.parent.is_dir():
-            raise GatewayError(
-                f"journal directory does not exist: {self.path.parent}")
-        if self.path.is_dir():
-            raise GatewayError(f"journal path is a directory: {self.path}")
+        self._file = JsonLines(self.path, _HEADER, "trial journal")
         self._entries: dict[str, dict] = {}
         #: spec hashes served back out of the journal this session
         self.replayed = 0
         #: entries appended this session
         self.recorded = 0
         #: human-readable recovery notes (torn line, skipped entries)
-        self.warnings: list[str] = []
-        self._recover()
-        self._handle = self.path.open("a", encoding="utf-8")
-
-    # -- recovery ------------------------------------------------------
-
-    def _recover(self) -> None:
-        """Load existing entries, repairing crash damage.
-
-        A process killed mid-append leaves a final line without its
-        trailing newline (or an incomplete JSON document); that line is
-        *truncated* so later appends start on a clean boundary.  A
-        crash tears at most that one line, so bad lines before it stay
-        in the file and are skipped with a warning — the trials they
-        held simply run again.
-        """
-        if not self.path.exists():
-            return
-        raw = self.path.read_bytes()
-        if not raw:
-            return
-        self._check_header(raw)
-        keep = len(raw)
-        if not raw.endswith(b"\n"):
-            keep = raw.rfind(b"\n") + 1
-            self._warn(f"{self.path}: truncated torn final line "
-                       f"({len(raw) - keep} bytes)")
-        # newline-stripped complete lines; byte-level so the truncation
-        # offsets below stay exact even for undecodable content
-        lines = raw[:keep].split(b"\n")[:-1] if keep else []
-        # with its newline in place, a final line that does not parse
-        # is the torn one (e.g. the flush landed but part of the write
-        # did not)
-        if keep == len(raw) and lines and self._parse(
-                lines[-1], len(lines), final=True) is None:
-            tail = lines.pop()
-            keep -= len(tail) + 1
-            self._warn(f"{self.path}: truncated torn final line "
-                       f"(line {len(lines) + 1})")
-        for line_number, line in enumerate(lines, start=1):
-            entry = self._parse(line, line_number, final=False)
-            if entry is not None:
-                spec_hash, payload = entry
-                if spec_hash:   # "" is the header/blank sentinel
-                    self._entries[spec_hash] = payload
-        if keep < len(raw):
-            with self.path.open("r+b") as handle:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-
-    def _check_header(self, raw: bytes) -> None:
-        """Refuse a file this class did not write, before touching it.
-
-        Every journal starts with the header line, so a non-empty file
-        whose first newline-terminated line is not a header — a text
-        file, an old headerless result cache — is some other file, and
-        the torn-line repair below must not truncate it.  A file with
-        no newline at all is a torn first write only if it is a prefix
-        of the header.
-        """
-        first, newline, _ = raw.partition(b"\n")
-        if not newline and _HEADER.encode().startswith(raw):
-            return
-        try:
-            header = json.loads(first) if newline else None
-        except ValueError:
-            header = None
-        if not isinstance(header, dict) or header.get("kind") != "journal":
-            raise GatewayError(
-                f"{self.path}: not a trial journal (its first line is not "
-                "a journal header); refusing to modify it")
-
-    def _parse(self, line: bytes, line_number: int,
-               final: bool) -> tuple[str, dict] | None:
-        """One journal line -> ``(hash, result)``, or None if unusable.
-
-        Header and blank lines return a sentinel entry-free value via
-        the caller (they are valid but carry no result); for torn-line
-        detection (``final=True``) they count as parseable.
-        """
-        text = line.decode("utf-8", errors="replace").strip()
-        if not text:
-            return ("", {}) if final else None
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            if not final:
-                self._warn(f"{self.path}:{line_number}: "
-                           "skipped corrupt journal line")
-            return None
-        if not isinstance(payload, dict):
-            if not final:
-                self._warn(f"{self.path}:{line_number}: "
-                           "skipped non-object journal line")
-            return None
-        kind = payload.get("kind")
-        if kind == "journal":
-            if payload.get("version") != JOURNAL_VERSION:
-                raise GatewayError(
-                    f"{self.path}: unsupported journal version "
-                    f"{payload.get('version')!r} (expected {JOURNAL_VERSION})")
-            return ("", {})
-        if kind != "trial" or "hash" not in payload \
-                or not isinstance(payload.get("result"), dict):
-            if not final:
-                self._warn(f"{self.path}:{line_number}: "
-                           f"skipped journal entry of kind {kind!r}")
-            # a well-formed JSON object with the wrong shape is not
-            # torn — keep it in the file, just do not use it
-            return ("", {}) if final else None
-        return (payload["hash"], payload["result"])
-
-    def _warn(self, message: str) -> None:
-        self.warnings.append(message)
-        warnings.warn(message, stacklevel=3)
+        self.warnings = self._file.warnings
+        for number, entry in self._file.entries(self._file.open()):
+            kind = entry.get("kind")
+            if kind == "trial" and "hash" in entry \
+                    and isinstance(entry.get("result"), dict):
+                self._entries[entry["hash"]] = entry["result"]
+            elif kind != "journal":
+                self._file.skip(number, f"journal entry of kind {kind!r}")
 
     # -- the runner protocol -------------------------------------------
 
@@ -212,22 +246,14 @@ class TrialJournal:
         if spec_hash in self._entries:
             return
         payload = result.to_dict()
-        if os.fstat(self._handle.fileno()).st_size == 0:
-            self._handle.write(_HEADER)
         self._entries[spec_hash] = payload
-        # No sort_keys: key order in the payload (e.g. span breakdowns)
-        # must survive the round-trip, or replayed results would not be
-        # byte-identical to live ones when re-serialised.
-        self._handle.write(json.dumps(
-            {"kind": "trial", "hash": spec_hash, "result": payload}) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        entry = {"kind": "trial", "hash": spec_hash, "result": payload}
+        self._file.append([entry] if self._file.size else [_HEADER, entry])
         self.recorded += 1
 
     def close(self) -> None:
         """Close the append handle (idempotent)."""
-        if not self._handle.closed:
-            self._handle.close()
+        self._file.close()
 
     def __enter__(self) -> "TrialJournal":
         return self

@@ -155,6 +155,20 @@ class TestDiffCommand:
         assert main(["diff", archive, "only", "ghost"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_save_into_missing_directory_is_usage_error(self, tmp_path,
+                                                        capsys):
+        """Checked before any trial runs: exit 2 with a usage line."""
+        archive = str(tmp_path / "ghost" / "runs.jsonl")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "-f", "factors", "-l", "lua", "-t", "1",
+                  "--save", archive])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "argument --save: directory does not exist" in captured.err
+        assert not (tmp_path / "ghost").exists()
+
 
 class TestWorkloadsCommand:
     def test_lists_all_workloads(self, capsys):
