@@ -7,8 +7,11 @@ attestation latency lands in the serving result's STARTUP bucket
 its predecessor's session instead of re-paying the full flow.
 """
 
+import json
+from pathlib import Path
+
 from repro.attest import LaunchAttestor
-from repro.core.config import GatewayConfig, PlatformEntry
+from repro.core.config import GatewayConfig, PlatformEntry, default_config
 from repro.core.gateway import Gateway, InvocationRequest
 from repro.core.pool import TeePool
 from repro.obs.metrics import MetricsRegistry
@@ -131,3 +134,32 @@ class TestGatewayAttestation:
         gateway = Gateway()
         assert gateway.attestors == {}
         assert all(pool.attestor is None for pool in gateway.pools.values())
+
+
+GOLDEN = (Path(__file__).resolve().parents[1] / "goldens"
+          / "gateway_attest_metrics.json")
+
+
+def gateway_attest_session() -> str:
+    """``/v1/metrics`` and ``/v1/stats`` after one faulted session.
+
+    Crashes force evictions, respawns and resumed re-attestation on
+    both attesting platforms, so every ``pool.*`` and
+    ``attest.service.*`` counter the gateway serves is exercised.
+    """
+    gateway = Gateway(default_config(seed=0), attest_launches=True,
+                      faults="vm-crash=0.6,seed=4")
+    gateway.upload("cpustress")
+    for platform in ("tdx", "sev-snp"):
+        for secure in (True, False):
+            gateway.invoke(InvocationRequest(
+                function="cpustress", language="lua", platform=platform,
+                secure=secure, trials=3))
+    payload = {"metrics": json.loads(gateway.metrics.to_json()),
+               "stats": gateway.stats()}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestGatewayAttestGolden:
+    def test_session_reproduces_byte_for_byte(self):
+        assert gateway_attest_session() == GOLDEN.read_text(encoding="utf-8")
