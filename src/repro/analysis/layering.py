@@ -15,8 +15,8 @@ rank order:
 - ``experiments`` must not reach into ``hw``/``guestos`` internals —
   harnesses talk to platforms through ``tee``/``core`` only.
 - ``obs`` (telemetry) sits between ``workloads`` and ``core``:
-  orchestration may import it, while substrates below it emit
-  through the duck-typed sink protocol instead of importing it.
+  orchestration may import it, while layers below it keep plain
+  counts that ``core`` folds in.
 - ``analysis`` (this tooling) stays self-contained: it may import
   only ``errors``, so it can lint a tree it cannot import.
 - ``errors`` and ``version`` are the shared leaves everyone may

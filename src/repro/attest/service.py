@@ -31,11 +31,10 @@ production answer, three mechanisms deep:
 :class:`AttestationInfrastructure` builds one platform's Fig. 5 flow;
 :class:`LaunchAttestor` and the attestation trial bodies share it.
 
-Layering: this module sits in ``attest`` (below ``obs``), so metrics
-flow through the duck-typed sink protocol (``count`` / ``set_gauge``
-/ ``observe``) — the gateway wires its registry in live.  Trial bodies
-run where no live sink exists, so they return the components' plain
-``stats`` dicts and the experiment harness folds them in afterwards.
+Layering: this module sits in ``attest`` (below ``obs``) and takes no
+metrics sink.  Its components keep plain ``stats`` dicts; the trial
+bodies return them and the experiment harness folds them in, and the
+gateway's pools count each admission from its verdict.
 """
 
 from __future__ import annotations
@@ -74,8 +73,10 @@ RESUME_COST_NS = 120_000.0
 #: CRL expiry and TCB rotation can end it earlier.
 DEFAULT_SESSION_TTL_NS = 3600 * 1e9
 
-#: Ranking used to attribute a launch to the slowest tier it touched.
-_TIER_PRIORITY = ("origin", "stale", "cdn", "host", "warm")
+#: ``(tier, collateral stats key)``, slowest first: a launch is
+#: attributed to the first tier whose counter it moved.
+_TIER_COUNTERS = (("origin", "origin.fetches"), ("stale", "stale.served"),
+                  ("cdn", "cdn.hits"), ("host", "host.hits"))
 
 
 class TieredCollateral:
@@ -379,8 +380,7 @@ class VerifierService:
     def __init__(self, name: str, verifier,
                  collateral: TieredCollateral | None = None,
                  concurrency: int = 4,
-                 sessions: SessionCache | None = None,
-                 metrics=None) -> None:
+                 sessions: SessionCache | None = None) -> None:
         if concurrency < 1:
             raise AttestationError(
                 f"concurrency must be >= 1, got {concurrency}")
@@ -389,10 +389,6 @@ class VerifierService:
         self.collateral = collateral
         self.concurrency = concurrency
         self.sessions = sessions if sessions is not None else SessionCache()
-        #: optional duck-typed metrics sink (``count`` / ``set_gauge``
-        #: / ``observe``); the gateway wires its registry here so
-        #: service activity shows in ``GET /v1/metrics`` live
-        self.metrics = metrics
         self.stats: dict[str, int] = {
             "launches": 0,
             "verified": 0,
@@ -449,17 +445,9 @@ class VerifierService:
         """The slowest collateral tier a full verification touched."""
         if before is None:
             return "local"
-        delta = {key: self.collateral.stats[key] - before[key]
-                 for key in before}
-        for tier in _TIER_PRIORITY:
-            if tier == "origin" and delta["origin.fetches"]:
-                return "origin"
-            if tier == "stale" and delta["stale.served"]:
-                return "stale"
-            if tier == "cdn" and delta["cdn.hits"]:
-                return "cdn"
-            if tier == "host" and delta["host.hits"]:
-                return "host"
+        for tier, key in _TIER_COUNTERS:
+            if self.collateral.stats[key] != before[key]:
+                return tier
         return "warm"
 
     # -- batches ---------------------------------------------------------
@@ -471,8 +459,8 @@ class VerifierService:
         Jobs must arrive in non-decreasing ``arrival_ns`` order.  Each
         job starts at ``max(arrival, earliest free slot)``; the wait is
         reported as ``queue_wait_ns`` and the backlog at each arrival
-        (jobs admitted earlier but not yet complete) feeds the
-        queue-depth peak gauge.
+        (jobs admitted earlier but not yet complete) feeds
+        :attr:`queue_depth_peak`.
         """
         slots = [0.0] * self.concurrency
         completions: list[float] = []
@@ -493,10 +481,6 @@ class VerifierService:
             slots[slot] = completion
             completions.append(completion)
             verdicts.append(verdict)
-        if self.metrics is not None:
-            self.metrics.set_gauge(
-                f"attest.service.{self.name}.queue_depth_peak",
-                self.queue_depth_peak)
         return verdicts
 
     # -- rotation --------------------------------------------------------
@@ -517,12 +501,6 @@ class VerifierService:
     def _account(self, verdict: LaunchVerdict) -> None:
         self.stats["launches"] += 1
         self.stats["resumed" if verdict.resumed else "verified"] += 1
-        if self.metrics is not None:
-            prefix = f"attest.service.{self.name}"
-            self.metrics.count(f"{prefix}.launches", 1)
-            self.metrics.count(f"{prefix}.tier.{verdict.tier}", 1)
-            self.metrics.observe(f"{prefix}.verify_latency_ns",
-                                 verdict.latency_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +562,14 @@ class AttestationInfrastructure:
         return SnpVerifier(self.keys, breaker=self.breaker)
 
     def service(self, name: str, cdn: TierStore | None = None,
-                concurrency: int = 4, metrics=None) -> VerifierService:
+                concurrency: int = 4) -> VerifierService:
         """A verifier service; on TDX it resolves collateral through
         its own :class:`TieredCollateral` behind ``cdn``."""
         collateral = (TieredCollateral(self.pcs, cdn=cdn)
                       if self.pcs is not None else None)
         return VerifierService(name, self.verifier(collateral),
                                collateral=collateral,
-                               concurrency=concurrency, metrics=metrics)
+                               concurrency=concurrency)
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +610,13 @@ class LaunchAttestor:
     #: the host each platform's attestation plane runs on
     _MACHINES = {"tdx": xeon_gold_5515, "sev-snp": epyc_9124}
 
-    def __init__(self, platform: str, seed: int = 0, metrics=None) -> None:
+    def __init__(self, platform: str, seed: int = 0) -> None:
         self.platform = platform
         self.rng = SimRng(seed, f"launch-attestor/{platform}")
         self._admissions = 0
         self.infrastructure = AttestationInfrastructure(platform, self.rng)
         self.pcs = self.infrastructure.pcs
-        self.service = self.infrastructure.service(platform, metrics=metrics)
+        self.service = self.infrastructure.service(platform)
         self.collateral = self.service.collateral
 
     def admission_context(self, vm_id: str) -> ExecContext:

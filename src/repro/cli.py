@@ -259,6 +259,12 @@ def _cmd_compare(args) -> int:
     from repro.core.api import ConfBench
 
     _writable_file_arg(args, args.save, "--save")
+    store = None
+    if args.save:
+        from repro.core.resultstore import ResultStore
+
+        store = ResultStore(args.save)
+        store.check()   # a foreign file fails before any trial runs
     bench = ConfBench(seed=args.seed)
     bench.upload(args.function)
     secure = bench.invoke(args.function, args.language,
@@ -275,10 +281,8 @@ def _cmd_compare(args) -> int:
     print(f"  normal mean : {summary.normal_mean_ns / 1e6:10.3f} ms")
     print(f"  ratio       : {summary.ratio:10.3f} "
           f"({summary.overhead_percent:+.1f}% overhead)")
-    if args.save:
-        from repro.core.resultstore import ResultStore
-
-        ResultStore(args.save).save(args.label, args.seed, secure + normal)
+    if store is not None:
+        store.save(args.label, args.seed, secure + normal)
         print(f"  archived    : {len(secure) + len(normal)} records -> "
               f"{args.save} (label {args.label!r})")
     return 0

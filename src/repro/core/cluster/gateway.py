@@ -189,23 +189,6 @@ class ClusterReport:
             payload["supply"] = dict(sorted(self.supply.items()))
         return dict(sorted(payload.items()))
 
-    def emit(self, sink, prefix: str = "cluster") -> None:
-        """Fold the aggregate counters into a metrics sink."""
-        sink.count_many((
-            (f"{prefix}.requests", self.requests),
-            (f"{prefix}.served", self.served),
-            (f"{prefix}.degraded", self.degraded),
-            (f"{prefix}.shed", self.shed),
-            (f"{prefix}.failovers", self.failovers),
-            (f"{prefix}.hedges", self.hedges),
-            (f"{prefix}.cold_boots", self.cold_boots),
-            (f"{prefix}.warm_starts", self.warm_starts),
-        ))
-        sink.set_gauge(f"{prefix}.queue_peak", self.queue_peak)
-        sink.set_gauge(f"{prefix}.latency_p99_ns", self.latency_p99_ns)
-        for zone, value in sorted(self.zone_utilization.items()):
-            sink.set_gauge(f"{prefix}.utilization.{zone}", value)
-
 
 class ClusterGateway:
     """One-shot engine: build, :meth:`run` once, read the report."""

@@ -79,10 +79,10 @@ class Gateway:
         #: deterministic drain-time hint.
         self._backlog_lock = threading.Lock()
         self._backlog_trials = 0
-        #: unified telemetry registry (shared with every pool and
-        #: attestor) — what ``GET /v1/metrics`` and
-        #: ``ConfBench.metrics()`` serve, and where :meth:`stats` reads
-        #: the ``gateway.*`` supervision counters
+        #: unified telemetry registry (shared with every pool) — what
+        #: ``GET /v1/metrics`` and ``ConfBench.metrics()`` serve, and
+        #: where :meth:`stats` reads the ``gateway.*`` supervision
+        #: counters
         self.metrics = MetricsRegistry()
         #: every RunResult produced through this gateway, in invocation
         #: order — the trace/profile exporters fold these span trees
@@ -101,8 +101,7 @@ class Gateway:
             for entry in self.config.entries:
                 if entry.platform in LaunchAttestor.SUPPORTED:
                     self.attestors[entry.platform] = LaunchAttestor(
-                        entry.platform, seed=entry.seed,
-                        metrics=self.metrics)
+                        entry.platform, seed=entry.seed)
         for entry in self.config.entries:
             platform = platform_by_name(entry.platform, seed=entry.seed)
             host = Host(name=entry.host + "/" + entry.platform,
@@ -111,9 +110,9 @@ class Gateway:
             self.monitors[entry.platform] = PerfMonitor(platform=platform)
             ports = entry.ports()
             secure_pool = TeePool(platform=entry.platform, secure=True,
-                                  policy=policy)
+                                  policy=policy, metrics=self.metrics)
             normal_pool = TeePool(platform=entry.platform, secure=False,
-                                  policy=policy)
+                                  policy=policy, metrics=self.metrics)
             for offset, port in enumerate(ports):
                 secure = offset % 2 == 0
                 vm = host.provision_vm(port, secure=secure)
@@ -121,7 +120,6 @@ class Gateway:
             for pool in (secure_pool, normal_pool):
                 pool.respawn = self._respawner(host, pool)
                 pool.faults = self.faults
-                pool.metrics = self.metrics
             # only secure pools attest: a normal VM has no launch
             # measurement to verify
             secure_pool.attestor = self.attestors.get(entry.platform)
@@ -254,7 +252,7 @@ class Gateway:
                         pool, function, language, trial, shed=False))
                     continue
                 self.run_log.append(run)
-                run.emit(self.metrics)
+                run.emit(self.metrics, "run")
                 report = monitor.collect(run)
                 records.append(InvocationRecord.from_run(
                     run, function=function, language=language,

@@ -51,6 +51,9 @@ JOURNAL_VERSION = 1
 #: The first line of every journal file.
 _HEADER = {"kind": "journal", "version": JOURNAL_VERSION}
 
+#: Bytes read at a time while looking for a file's first or final lines.
+_BLOCK = 4096
+
 
 def _object(line: bytes) -> dict | None:
     """One line as a JSON object, or None when it is not one."""
@@ -59,6 +62,30 @@ def _object(line: bytes) -> dict | None:
     except ValueError:   # UnicodeDecodeError included
         return None
     return value if isinstance(value, dict) else None
+
+
+def _head(handle) -> bytes:
+    """The first line through its newline, or the whole file if it
+    has none."""
+    head = b""
+    while b"\n" not in head:
+        block = handle.read(_BLOCK)
+        if not block:
+            return head
+        head += block
+    return head[:head.index(b"\n") + 1]
+
+
+def _tail(handle) -> tuple[int, bytes]:
+    """``(offset, bytes)``: the file from just past the newline before
+    its final line, or from its start, to its end."""
+    offset, tail = handle.seek(0, os.SEEK_END), b""
+    while offset and tail.count(b"\n") < 2:
+        step = min(_BLOCK, offset)
+        offset -= step
+        handle.seek(offset)
+        tail = handle.read(step) + tail
+    return offset, tail
 
 
 class JsonLines:
@@ -88,37 +115,48 @@ class JsonLines:
         raw = self.path.read_bytes()
         return self.entries(raw[:self._clean_length(raw, "ignored")])
 
-    def open(self) -> bytes:
-        """Open for appending; returns the file's bytes once repaired.
-
-        A foreign file is refused before anything is written, and a
-        torn final line is truncated so appends start on a clean
-        boundary.
-        """
+    def check(self) -> None:
+        """Refuse, without writing, what :meth:`open` would refuse: a
+        missing directory, a directory, or a foreign file.  Reads only
+        the first line."""
         if not self.path.parent.is_dir():
             raise GatewayError(f"{self._noun} directory does not exist: "
                                f"{self.path.parent}")
         if self.path.is_dir():
             raise GatewayError(f"{self._noun} path is a directory: "
                                f"{self.path}")
-        raw = self.path.read_bytes() if self.path.exists() else b""
-        if raw:
-            self._check_header(raw)
-        self.size = self._clean_length(raw, "truncated")
+        if self.path.exists():
+            with self.path.open("rb", buffering=0) as handle:
+                head = _head(handle)
+            if head:
+                self._check_header(head)
+
+    def open(self) -> None:
+        """Open for appending, reading only the first and final lines.
+
+        A foreign file is refused before anything is written, and a
+        torn final line is truncated so appends start on a clean
+        boundary.
+        """
+        self.check()
+        offset, tail = 0, b""
+        if self.path.exists():
+            with self.path.open("rb", buffering=0) as handle:
+                offset, tail = _tail(handle)
+        self.size = offset + self._clean_length(tail, "truncated")
         self._handle = self.path.open("ab")
-        if self.size < len(raw):
+        if self.size < offset + len(tail):
             self._handle.truncate(self.size)
             os.fsync(self._handle.fileno())
-        return raw[:self.size]
 
-    def _check_header(self, raw: bytes) -> None:
-        """Refuse a file whose first line is not this store's first
-        entry.  A file with no newline at all is a torn first write
-        only if it and the start of a first entry agree."""
+    def _check_header(self, head: bytes) -> None:
+        """Refuse a file whose first line (``head``) is not this store's
+        first entry.  A file with no newline at all is a torn first
+        write only if it and the start of a first entry agree."""
         kind = self._header["kind"]
-        first, newline, _ = raw.partition(b"\n")
+        first, newline, _ = head.partition(b"\n")
         stem = json.dumps(self._header).encode()[:-1]
-        if not newline and (stem.startswith(raw) or raw.startswith(stem)):
+        if not newline and (stem.startswith(head) or head.startswith(stem)):
             return
         header = _object(first) if newline else None
         if header is None or header.get("kind") != kind:
@@ -132,7 +170,8 @@ class JsonLines:
                     f"{header.get(key)!r} (expected {expected!r})")
 
     def _clean_length(self, raw: bytes, fate: str) -> int:
-        """``raw``'s length without its torn final line, if any.
+        """``raw``'s length without its torn final line, if any; ``raw``
+        is the whole file or a tail of it from :func:`_tail`.
 
         A crash tears at most the last line: it lacks its newline, or
         the newline landed but part of the write did not, so it is not
@@ -211,7 +250,8 @@ class TrialJournal:
         self.recorded = 0
         #: human-readable recovery notes (torn line, skipped entries)
         self.warnings = self._file.warnings
-        for number, entry in self._file.entries(self._file.open()):
+        self._file.open()
+        for number, entry in self._file.entries(self.path.read_bytes()):
             kind = entry.get("kind")
             if kind == "trial" and "hash" in entry \
                     and isinstance(entry.get("result"), dict):

@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import PoolExhaustedError, VmError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.faults import FaultContext, FaultKind, FaultPlan, Retries
 from repro.sim.rng import SimRng
 from repro.sim.trace import Trace
@@ -64,13 +65,13 @@ class TeePool:
     respawn: "object | None" = None
     #: optional :class:`FaultPlan` injecting worker failures
     faults: FaultPlan | None = None
-    #: supervision counters: dead workers removed / replacements added
+    #: dead workers removed from rotation
     evictions: int = 0
-    respawns: int = 0
-    #: optional metrics sink (the :mod:`repro.obs` protocol); the
-    #: gateway wires its registry in so pool supervision shows up in
+    #: where the pool counts served runs, respawns and admissions
+    #: (``pool.*``, and ``attest.service.*`` from each admission's
+    #: verdict); the gateway shares its registry so they show up in
     #: ``GET /v1/metrics``
-    metrics: "object | None" = None
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: optional :class:`~repro.attest.service.LaunchAttestor`; when set
     #: on a secure pool, each worker is attested before its first
     #: dispatch and the attestation latency is charged to the serving
@@ -91,10 +92,8 @@ class TeePool:
         """``"secure"`` or ``"normal"`` — the metric/display key."""
         return "secure" if self.secure else "normal"
 
-    def _count(self, event: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.count(
-                f"pool.{self.platform}.{self.side}.{event}", amount)
+    def _count(self, event: str) -> None:
+        self.metrics.count(f"pool.{self.platform}.{self.side}.{event}", 1)
 
     def add_worker(self, vm: Vm, port: int) -> Worker:
         """Register a booted VM as a pool worker."""
@@ -187,7 +186,6 @@ class TeePool:
                 if self.respawn is not None:
                     replacement = self.respawn(worker)
                     if replacement is not None:
-                        self.respawns += 1
                         self._count("respawns")
                         wasted += replacement.vm.boot_time_ns
                 retries.fail(exc, wasted)
@@ -226,10 +224,16 @@ class TeePool:
             return 0.0
         admission = self.attestor.admit(
             f"{self.platform}/port-{worker.port}")
+        verdict = admission.verdict
         worker.attested = True
         self._count("attested")
-        if admission.verdict.resumed:
+        if verdict.resumed:
             self._count("attest_resumed")
+        prefix = f"attest.service.{self.platform}"
+        self.metrics.count(f"{prefix}.launches", 1)
+        self.metrics.count(f"{prefix}.tier.{verdict.tier}", 1)
+        self.metrics.observe(f"{prefix}.verify_latency_ns",
+                             verdict.latency_ns)
         return admission.latency_ns
 
     def evict(self, worker: Worker) -> None:

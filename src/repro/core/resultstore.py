@@ -68,6 +68,11 @@ class ResultStore:
         #: starts afresh)
         self.warnings = self._file.warnings
 
+    def check(self) -> None:
+        """Refuse now, without writing, a path :meth:`save` would
+        refuse (a foreign file, a missing directory)."""
+        self._file.check()
+
     def save(self, label: str, seed: int,
              records: list[InvocationRecord]) -> None:
         """Append one run (header line + one line per record)."""

@@ -744,7 +744,7 @@ class TrialRunner:
         if replayed:
             self.metrics.count("runner.trials_replayed", replayed)
         for result in ordered:
-            result.emit(self.metrics)
+            result.emit(self.metrics, "run")
 
     def _dispatch(self, pending: list[tuple[int, TrialSpec]],
                   results: dict[int, RunResult]) -> None:

@@ -89,24 +89,17 @@ class PerfCounters:
         """All counters as a plain dict (for JSON piggybacking)."""
         return {name: getattr(self, name) for name in _COUNTER_FIELDS}
 
-    def emit(self, sink, prefix: str = "perf") -> None:
-        """Feed every counter into a metrics sink.
+    def emit(self, sink, prefix: str) -> None:
+        """Add every counter to ``sink``'s ``<prefix>.<name>`` counters.
 
-        ``sink`` is duck-typed against the :mod:`repro.obs` sink
-        protocol (``sink.count(name, value)``) — this layer sits below
-        the observability package and must not import it.  Counter
-        order is the field declaration order, which is fixed, so
-        emission is deterministic.  Sinks providing ``count_many``
-        receive all counters in one coalesced call.
+        ``sink`` is a :class:`~repro.obs.metrics.MetricsRegistry`,
+        passed in because this layer sits below the observability
+        package and must not import it.  Counter order is the field
+        declaration order, which is fixed, so the one ``count_many``
+        call is deterministic.
         """
-        items = [(f"{prefix}.{name}", value)
-                 for name, value in self.as_dict().items()]
-        count_many = getattr(sink, "count_many", None)
-        if count_many is not None:
-            count_many(items)
-        else:
-            for name, value in items:
-                sink.count(name, value)
+        sink.count_many([(f"{prefix}.{name}", value)
+                         for name, value in self.as_dict().items()])
 
 
 #: Counter names in declaration order, resolved once — ``fields()``

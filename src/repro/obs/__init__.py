@@ -7,9 +7,11 @@ measurement streams meet:
 
 - :mod:`repro.obs.metrics` — a deterministic :class:`MetricsRegistry`
   (counters, gauges, virtual-time histograms on fixed log-scale
-  buckets).  The substrate layers (``hw``/``sim``/``tee``) feed it
-  through a duck-typed *sink* protocol so they never import upward;
-  ``core`` wires it in directly (gateway, pool, runner, journal).
+  buckets).  Layers below ``obs`` never import it: they keep plain
+  counts, and their ``core`` caller folds them in, either by passing
+  the registry to an ``emit(sink, prefix)`` hook or through
+  ``fold_counters``.  ``core`` counts into it directly (gateway, pool,
+  runner, journal).
 - :mod:`repro.obs.export` — a :class:`TraceExporter` rendering
   :mod:`repro.sim.trace` span trees to Chrome trace-event JSON
   (loadable in ``chrome://tracing`` / Perfetto) and JSONL.

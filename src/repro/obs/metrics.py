@@ -19,16 +19,14 @@ the same plan, so:
   :meth:`MetricsRegistry.to_json` serialises with sorted keys and
   fixed separators.
 
-Sink protocol
--------------
+Lower layers
+------------
 Lower layers (``hw``, ``sim``, ``tee``) must not import this package
-(it sits above them in the layer DAG), so their ``emit`` hooks are
-duck-typed against three methods any sink — usually a registry —
-provides::
-
-    sink.count(name, value)       # add to a monotonic counter
-    sink.set_gauge(name, value)   # set a last-value gauge
-    sink.observe(name, value)     # record one histogram sample
+(it sits above them in the layer DAG).  They keep plain counts, and
+``core`` folds them in: a run's ``emit(sink, prefix)`` hook takes the
+registry as an argument and calls its :meth:`~MetricsRegistry.count`,
+:meth:`~MetricsRegistry.count_many` and
+:meth:`~MetricsRegistry.observe`.
 """
 
 from __future__ import annotations
@@ -132,10 +130,9 @@ class Histogram:
 class MetricsRegistry:
     """The aggregation point for every measurement stream.
 
-    Implements the sink protocol (:meth:`count` / :meth:`set_gauge` /
-    :meth:`observe`) the substrate ``emit`` hooks are duck-typed
-    against, plus get-or-create accessors and deterministic
-    serialisation.
+    Update methods (:meth:`count`, :meth:`count_many`,
+    :meth:`set_gauge`, :meth:`observe`), get-or-create accessors and
+    deterministic serialisation.
     """
 
     def __init__(self) -> None:
@@ -168,7 +165,7 @@ class MetricsRegistry:
             metric = self._histograms[name] = Histogram(name)
         return metric
 
-    # -- the sink protocol ---------------------------------------------
+    # -- updates -------------------------------------------------------
 
     def count(self, name: str, amount: float = 1) -> None:
         """Add to the named counter (creating it at 0)."""
@@ -180,9 +177,7 @@ class MetricsRegistry:
         Equivalent to calling :meth:`count` per pair — same counters,
         same totals, same snapshot bytes — but a batched result's
         ledger/perf emission pays one dispatch instead of one per
-        metric.  Sinks advertise it by simply having the method; the
-        substrate ``emit`` hooks fall back to :meth:`count` loops when
-        a custom sink lacks it.
+        metric.  The ledger and perf-counter ``emit`` hooks call it.
         """
         counters = self._counters
         for name, amount in pairs:

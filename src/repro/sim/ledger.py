@@ -128,27 +128,20 @@ class CostLedger:
             return None
         return max(self._charges, key=lambda cat: self._charges[cat])
 
-    def emit(self, sink, prefix: str = "ledger") -> None:
-        """Feed per-category totals into a metrics sink.
+    def emit(self, sink, prefix: str) -> None:
+        """Add per-category totals to ``sink``'s ``<prefix>.<category>``
+        counters.
 
-        ``sink`` is duck-typed against the :mod:`repro.obs` sink
-        protocol (``sink.count(name, nanos)``); this layer must not
-        import upward.  Categories are emitted sorted by name so the
-        set of charged categories — not charge order — determines the
-        emission sequence.  Sinks providing ``count_many`` receive the
-        whole breakdown in one coalesced call (same totals, same
-        order, fewer dispatches).
+        ``sink`` is a :class:`~repro.obs.metrics.MetricsRegistry`,
+        passed in because this layer must not import upward.
+        Categories are emitted sorted by name so the set of charged
+        categories — not charge order — determines the emission
+        sequence, in one ``count_many`` call.
         """
-        items = [
+        sink.count_many([
             (f"{prefix}.{category.value}", self._charges[category])
             for category in sorted(self._charges, key=lambda cat: cat.value)
-        ]
-        count_many = getattr(sink, "count_many", None)
-        if count_many is not None:
-            count_many(items)
-        else:
-            for name, nanos in items:
-                sink.count(name, nanos)
+        ])
 
     def copy(self) -> "CostLedger":
         """An independent copy of this ledger."""

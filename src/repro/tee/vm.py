@@ -96,14 +96,14 @@ class RunResult:
             payload["degraded"] = self.degraded
         return payload
 
-    def emit(self, sink, prefix: str = "run") -> None:
-        """Feed this result's measurements into a metrics sink.
+    def emit(self, sink, prefix: str) -> None:
+        """Feed this result's measurements into a metrics registry.
 
-        ``sink`` is duck-typed against the :mod:`repro.obs` sink
-        protocol (``count`` / ``observe``); the tee layer sits below
-        the observability package and must not import it.  Metric
-        names are keyed by platform and secure/normal side so the
-        registry separates the paper's comparison axes.
+        ``sink`` is a :class:`~repro.obs.metrics.MetricsRegistry`,
+        passed in because the tee layer sits below the observability
+        package and must not import it.  Metric names are keyed by
+        platform and secure/normal side so the registry separates the
+        paper's comparison axes.
         """
         side = "secure" if self.secure else "normal"
         base = f"{prefix}.{self.platform}.{side}"

@@ -169,6 +169,25 @@ class TestDiffCommand:
         assert "argument --save: directory does not exist" in captured.err
         assert not (tmp_path / "ghost").exists()
 
+    def test_save_onto_foreign_file_fails_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        """The archive's first-line check runs before the first trial:
+        exit 1, no invocation, and the file is left byte-identical."""
+        from repro.core.api import ConfBench
+
+        invoked = []
+        monkeypatch.setattr(ConfBench, "invoke",
+                            lambda *args, **kwargs: invoked.append(args))
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(b"hello\nworld")
+        assert main(["compare", "-f", "factors", "-l", "lua", "-t", "2",
+                     "--save", str(notes)]) == 1
+        captured = capsys.readouterr()
+        assert invoked == []
+        assert captured.out == ""
+        assert "not a result archive" in captured.err
+        assert notes.read_bytes() == b"hello\nworld"
+
 
 class TestWorkloadsCommand:
     def test_lists_all_workloads(self, capsys):

@@ -12,7 +12,6 @@ import pytest
 from repro.core.cluster import ClusterGateway, TrafficSpec, build_fleet
 from repro.core.runner import TrialPlan, TrialRunner, TrialSpec
 from repro.errors import GatewayError
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.faults import FaultContext, FaultPlan
 
 AGGRESSIVE = "host-crash=0.9,zone-partition=0.8,degraded-host=0.8,collateral-outage=0.8,seed=3"
@@ -143,15 +142,6 @@ class TestGatewayLifecycle:
     def test_needs_at_least_one_host(self):
         with pytest.raises(GatewayError):
             ClusterGateway(())
-
-    def test_emit_folds_into_metrics(self):
-        _, report = sweep(requests=500, rate_rps=500.0)
-        registry = MetricsRegistry()
-        report.emit(registry)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["cluster.requests"] == 500
-        assert any(key.startswith("cluster.utilization.")
-                   for key in snapshot["gauges"])
 
 
 class TestClusterTrialBody:

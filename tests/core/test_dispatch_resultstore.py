@@ -288,6 +288,37 @@ class TestLinearWrites:
         runs = store.load()
         assert [run.label for run in runs] == [f"run-{i}" for i in range(saves)]
 
+    def test_a_save_reads_the_same_bytes_at_any_archive_size(self, tmp_path):
+        """Exact counts: a save reads only the archive's first line and
+        its final lines, so once the archive is past a few KiB every
+        save reads the same number of bytes — an archive read whole on
+        each save would read O(saves^2) bytes."""
+        store = ResultStore(tmp_path / "runs.jsonl")
+        reads = [_bytes_read_by(lambda: store.save(
+            f"run-{index}", seed=index, records=_synthetic_records(index)))
+            for index in range(300)]
+        assert reads[50:] == [reads[50]] * 250
+        assert reads[-1] < (tmp_path / "runs.jsonl").stat().st_size / 10
+
+
+def _proc_rchar() -> tuple[int, int]:
+    """``(rchar, bytes this call read)``: the process's cumulative
+    ``read(2)`` byte count before this call's own read (Linux)."""
+    with open("/proc/self/io", "rb") as handle:
+        text = handle.read()
+    for line in text.split(b"\n"):
+        name, _, value = line.partition(b":")
+        if name == b"rchar":
+            return int(value), len(text)
+    raise AssertionError("no rchar in /proc/self/io")
+
+
+def _bytes_read_by(action) -> int:
+    """The bytes ``action()`` reads through ``read(2)``, exactly."""
+    before, own = _proc_rchar()
+    action()
+    return _proc_rchar()[0] - before - own
+
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "goldens"
 

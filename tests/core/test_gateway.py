@@ -607,8 +607,10 @@ class TestAdmissionControl:
     def test_pool_counts_evictions_and_respawns(self):
         gateway = self.make_gateway()
         pool = gateway.pools[("tdx", True)]
-        assert (pool.evictions, pool.respawns) == (0, 0)
+        respawns = "pool.tdx.secure.respawns"
+        assert (pool.evictions, gateway.metrics.counter_value(respawns)) \
+            == (0, 0)
         pool.workers[0].vm.destroy()
         self.invoke(gateway, trials=2)
         assert pool.evictions == 1
-        assert pool.respawns == 1
+        assert gateway.metrics.counter_value(respawns) == 1

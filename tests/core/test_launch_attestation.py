@@ -33,7 +33,8 @@ def make_pool(workers=2, attestor=None, metrics=None, secure=True):
         vm.boot()
         pool.add_worker(vm, 9100 + i)
     pool.attestor = attestor
-    pool.metrics = metrics
+    if metrics is not None:
+        pool.metrics = metrics
     return pool
 
 

@@ -144,7 +144,6 @@ def oracle_run_resilient(self: TeePool, workload, name: str, trial: int):
             if self.respawn is not None:
                 replacement = self.respawn(worker)
                 if replacement is not None:
-                    self.respawns += 1
                     self._count("respawns")
                     wasted += replacement.vm.boot_time_ns
             failures.add(type(exc).__name__, wasted_ns=wasted,
@@ -265,7 +264,7 @@ def drive(pool: TeePool, run, requests: int) -> list:
 
 
 def pool_state(pool: TeePool) -> tuple:
-    return (pool.evictions, pool.respawns,
+    return (pool.evictions,
             [worker.port for worker in pool.workers],
             [(worker.served, worker.failed, worker.attested)
              for worker in pool.workers],

@@ -104,7 +104,8 @@ class TestPoolIntegration:
         vm.boot()
         pool.add_worker(vm, 9100)
         pool.provisioner = provisioner
-        pool.metrics = metrics
+        if metrics is not None:
+            pool.metrics = metrics
         return pool
 
     def test_first_dispatch_provisions_and_charges_startup(self):
