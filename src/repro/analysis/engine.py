@@ -64,6 +64,17 @@ PASS_SCHEMA: dict[str, int] = {
     "lock": 1,
 }
 
+#: Rule id -> registry name.  The registry name is the one key of
+#: :data:`PASS_SCHEMA` and :data:`_RULE_BLURBS`: the hot-path pass
+#: registers as ``hotpath`` but reports as ``hot-path-per-op``.
+_PASS_NAMES = {cls.id: name for name, cls in RULE_REGISTRY.items()}
+
+
+def _pass_name(rule_id: str) -> str:
+    """Registry name of the pass behind a rule or finding-family id."""
+    return _PASS_NAMES.get(rule_id, rule_id)
+
+
 def _SORT_KEY(f):
     # total order: ties beyond (path, line, col, rule) broken
     # by message/symbol so serial, parallel, and cached runs
@@ -157,7 +168,8 @@ class LintReport:
                     "rules": [{
                         "id": rule,
                         "shortDescription": {"text": _RULE_BLURBS.get(
-                            rule.split("/")[0], "confbench lint pass")},
+                            _pass_name(rule.split("/")[0]),
+                            "confbench lint pass")},
                     } for rule in rule_ids],
                 }},
                 "results": results,
@@ -239,7 +251,7 @@ def _rule_worker(rule: Rule, path_strs: list[str]) -> list[dict]:
 def _cached_rule_run(rule: Rule, project: Project, cache: AnalysisCache,
                      closures: dict[str, str]) -> list[Finding]:
     """Run one pass through the cache, filling misses."""
-    schema = PASS_SCHEMA.get(rule.id, 1)
+    schema = PASS_SCHEMA.get(_pass_name(rule.id), 1)
     module_scope = _is_module_scope(rule)
     digest_for = {m.name: (m.sha if module_scope else closures[m.name])
                   for m in project.modules}
@@ -326,7 +338,7 @@ def run_lint(paths: Sequence[Path], rules: Sequence[Rule] | None = None,
     if cache is not None:
         live = set()
         for rule in rule_list:
-            schema = PASS_SCHEMA.get(rule.id, 1)
+            schema = PASS_SCHEMA.get(_pass_name(rule.id), 1)
             module_scope = _is_module_scope(rule)
             for module in project.modules:
                 digest = module.sha if module_scope \

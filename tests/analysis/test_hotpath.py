@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.analysis import HotPathRule, Severity, run_lint
+import json
+
+from repro.analysis import PASS_SCHEMA, HotPathRule, Severity, run_lint
 
 PER_OP_LOOP = """
     def body(ctx, items):
@@ -80,3 +82,26 @@ class TestHotPathRule:
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
         findings = lint(src)
         assert findings == [], "\n".join(f.render() for f in findings)
+
+
+class TestPassName:
+    """The pass registers as ``hotpath`` but reports as
+    ``hot-path-per-op``; its schema and blurb go by the first."""
+
+    def test_schema_bump_invalidates_cache_entries(self, make_tree,
+                                                   tmp_path, monkeypatch):
+        tree = make_tree({"tee/loop.py": PER_OP_LOOP})
+        cache = tmp_path / "lint-cache.json"
+        cold = run_lint([tree], rules=[HotPathRule()], cache_path=cache)
+        monkeypatch.setitem(PASS_SCHEMA, "hotpath",
+                            PASS_SCHEMA["hotpath"] + 1)
+        bumped = run_lint([tree], rules=[HotPathRule()], cache_path=cache)
+        assert bumped.cache_misses == cold.cache_misses > 0
+
+    def test_sarif_describes_the_pass(self, make_tree):
+        tree = make_tree({"tee/loop.py": PER_OP_LOOP})
+        sarif = json.loads(run_lint([tree]).render_sarif())
+        [rule] = sarif["runs"][0]["tool"]["driver"]["rules"]
+        assert rule["id"] == "hot-path-per-op"
+        assert rule["shortDescription"]["text"] == \
+            "per-op charge loop where a batch should be"
