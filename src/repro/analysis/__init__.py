@@ -7,7 +7,7 @@ orchestration above them.  Nothing in Python stops a contributor from
 calling ``time.time()`` inside a workload or importing ``repro.core``
 from ``repro.hw`` — one such slip silently turns bit-identical trials
 into flaky fig3–fig8 regressions.  This package catches that class of
-bug at lint time with four AST-based passes:
+bug at lint time with six AST-based passes:
 
 - :mod:`repro.analysis.determinism` — flags wall-clock and entropy
   escapes (``time.time``, ``datetime.now``, module-level ``random.*``,
@@ -31,10 +31,11 @@ bug at lint time with four AST-based passes:
   threaded modules: attributes written under ``with self._lock:`` are
   guarded, unguarded access and ABBA acquisition orders are findings.
 
-The cross-module passes share :mod:`repro.analysis.dataflow` (symbol
-index, call graph, import graph); :mod:`repro.analysis.cache` keys
-their results by content hashes so warm lint runs only re-analyze
-what changed.
+The purity and taint passes share one :mod:`repro.analysis.dataflow`
+symbol index per run (:attr:`Project.index`, built on first use);
+:mod:`repro.analysis.cache` keys results by content hashes, per file
+for the per-file passes and per tree for the cross-module ones, so a
+warm lint run over an unchanged tree analyzes nothing.
 
 Findings can be suppressed inline with ``# confbench: allow[<rule>]``
 pragmas (:mod:`repro.analysis.pragmas`) or grandfathered in a committed

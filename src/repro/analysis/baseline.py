@@ -19,13 +19,10 @@ from repro.analysis.core import AnalysisError, Finding
 
 BASELINE_VERSION = 2
 
-#: Older formats still accepted by :meth:`Baseline.load`.  v1 lacked
-#: the ``passes`` schema map; its fingerprints are compatible.
-_COMPAT_VERSIONS = frozenset({1, BASELINE_VERSION})
-
 
 def _fingerprints(findings: list[Finding]) -> list[tuple[Finding, str]]:
-    """Pair findings with occurrence-disambiguated fingerprints."""
+    """Pair findings with occurrence-disambiguated fingerprints (the
+    same ones SARIF reports, so a baseline and a scan agree)."""
     counts: dict[tuple[str, str, str, str], int] = {}
     pairs: list[tuple[Finding, str]] = []
     for finding in findings:
@@ -56,10 +53,10 @@ class Baseline:
                 from exc
         except json.JSONDecodeError as exc:
             raise AnalysisError(f"malformed baseline {path}: {exc}") from exc
-        if payload.get("version") not in _COMPAT_VERSIONS:
+        if payload.get("version") != BASELINE_VERSION:
             raise AnalysisError(
                 f"baseline {path} has version {payload.get('version')!r}, "
-                f"expected one of {sorted(_COMPAT_VERSIONS)}")
+                f"expected {BASELINE_VERSION}")
         entries = payload.get("findings", [])
         return cls(fingerprints=frozenset(e["fingerprint"] for e in entries),
                    entries=entries,

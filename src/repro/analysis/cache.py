@@ -1,4 +1,4 @@
-"""Per-file analysis cache keyed by content hashes.
+"""Analysis cache keyed by content hashes.
 
 ``confbench lint --cache FILE`` persists post-pragma findings between
 runs so the CI job (and a local pre-commit loop) only pays for what
@@ -7,13 +7,11 @@ changed.  Keys are derived purely from *content*:
 - a **module-scope** rule (determinism, hotpath, lock — anything that
   only implements ``check_module``) caches per file, keyed by that
   file's SHA-256.  Editing one file re-analyzes one file.
-- a **project-scope** rule (taint, purity, layering) sees the whole
-  tree through import and call graphs, so its findings for module M
-  are keyed by the joint hash of M's *transitive import closure*
-  (:meth:`repro.analysis.dataflow.ImportGraph.closure`).  Editing
-  ``attest/crypto.py`` invalidates every module that can reach it —
-  exactly the set whose taint summaries could change — and nothing
-  else.
+- a **project-scope** rule (layering, purity, taint) sees the whole
+  tree through import and call graphs, so it caches one entry per
+  pass, keyed by :func:`tree_digest` over every module's name and
+  SHA-256.  Any edit re-runs each project pass once over the whole
+  tree; an unchanged tree replays them without building the symbol index.
 
 Entries also carry the pass schema version
 (:data:`repro.analysis.engine.PASS_SCHEMA`); bumping a pass's version
@@ -24,7 +22,8 @@ without touching sources).
 
 The file format is one JSON object; unknown versions and unreadable
 files are treated as an empty cache, never an error — a cache must be
-safe to delete at any time.
+safe to delete at any time.  Saving drops every entry the run did not
+look up.
 """
 
 from __future__ import annotations
@@ -34,19 +33,19 @@ import json
 from pathlib import Path
 
 from repro.analysis.core import Finding, Project
-from repro.analysis.dataflow import ImportGraph
 
 CACHE_VERSION = 1
 
 
 class AnalysisCache:
-    """Content-addressed store of per-(rule, module) findings."""
+    """Content-addressed store of per-(rule, content) findings."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.entries: dict[str, list[dict]] = {}
         self.hits = 0
         self.misses = 0
+        self._looked_up: set[str] = set()
         self._dirty = False
         self._load()
 
@@ -63,6 +62,12 @@ class AnalysisCache:
             self.entries = entries
 
     def save(self) -> None:
+        """Write the entries this run looked up; drop the rest (content
+        no longer in the tree, or a pass this run did not run)."""
+        for key in [key for key in self.entries
+                    if key not in self._looked_up]:
+            del self.entries[key]
+            self._dirty = True
         if not self._dirty:
             return
         payload = {"version": CACHE_VERSION, "entries": self.entries}
@@ -79,6 +84,7 @@ class AnalysisCache:
         return f"{rule_id}@{schema}:{digest}"
 
     def get(self, key: str) -> list[Finding] | None:
+        self._looked_up.add(key)
         cached = self.entries.get(key)
         if cached is None:
             self.misses += 1
@@ -90,31 +96,10 @@ class AnalysisCache:
         self.entries[key] = [finding.to_dict() for finding in findings]
         self._dirty = True
 
-    def prune(self, live_keys: set[str]) -> None:
-        """Drop entries for content no longer in the tree."""
-        stale = [key for key in self.entries if key not in live_keys]
-        for key in stale:
-            del self.entries[key]
-            self._dirty = True
 
-
-def closure_digests(project: Project) -> dict[str, str]:
-    """module name -> hash over its name and its import closure's shas.
-
-    The closure includes the module itself.  Modules outside the
-    project contribute nothing (their content is not analyzed).  The
-    module's own name leads the hashed blob: every module in one
-    import cycle has the same closure, and without the name they
-    would share one cache key, so a warm run would replay one module's
-    findings once per cycle member.
-    """
-    graph = ImportGraph.build(project)
-    by_name = {module.name: module for module in project.modules}
-    digests: dict[str, str] = {}
-    for module in project.modules:
-        names = sorted(graph.closure(module.name) | {module.name})
-        blob = "\x00".join([module.name] + [
-            f"{name}={by_name[name].sha}" for name in names
-            if name in by_name])
-        digests[module.name] = hashlib.sha256(blob.encode()).hexdigest()
-    return digests
+def tree_digest(project: Project) -> str:
+    """Hash over every module's dotted name and content hash: the one
+    key material of a project-scope pass's cache entry."""
+    blob = "\x00".join(f"{module.name}={module.sha}"
+                        for module in project.modules)
+    return hashlib.sha256(blob.encode()).hexdigest()

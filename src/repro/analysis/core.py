@@ -15,11 +15,15 @@ import ast
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.analysis.pragmas import PragmaIndex
 from repro.errors import ConfBenchError
+
+if TYPE_CHECKING:
+    from repro.analysis.dataflow import SymbolIndex
 
 
 class AnalysisError(ConfBenchError):
@@ -140,8 +144,13 @@ class Project:
 
     modules: list[SourceModule]
 
-    def by_name(self) -> dict[str, SourceModule]:
-        return {module.name: module for module in self.modules}
+    @cached_property
+    def index(self) -> "SymbolIndex":
+        """The symbol index, built on first use: the passes of one run
+        that need it (purity, taint) share it, and a run that replays
+        every project pass from the cache never builds it."""
+        from repro.analysis.dataflow import build_index
+        return build_index(self)
 
 
 class Rule:
@@ -194,6 +203,25 @@ def enclosing_symbol(stack: Sequence[ast.AST]) -> str:
     return ".".join(names)
 
 
+def import_from_base(node: ast.ImportFrom, module_name: str,
+                     is_package_init: bool) -> str | None:
+    """Absolute dotted module a ``from X import ...`` statement names.
+
+    Relative imports resolve against the importer's dotted name; in a
+    package ``__init__`` the first level strips nothing.  ``None`` for
+    a relative import that climbs above the top-level package.
+    """
+    if not node.level:
+        return node.module
+    parts = module_name.split(".") if module_name else []
+    strip = node.level - (1 if is_package_init else 0)
+    if strip >= len(parts):
+        return None
+    prefix = parts[:len(parts) - strip]
+    return ".".join(prefix + [node.module]) if node.module else \
+        ".".join(prefix)
+
+
 class ImportTable:
     """Best-effort alias resolution for qualified-name matching.
 
@@ -217,16 +245,7 @@ class ImportTable:
     def visit_import_from(self, node: ast.ImportFrom,
                           module_name: str = "",
                           is_package_init: bool = False) -> None:
-        base = node.module
-        if node.level:
-            # Resolve relative imports against the importer's name.
-            parts = module_name.split(".") if module_name else []
-            strip = node.level - (1 if is_package_init else 0)
-            if strip > len(parts):
-                return
-            prefix = parts[:len(parts) - strip]
-            base = ".".join(prefix + [node.module]) if node.module \
-                else ".".join(prefix)
+        base = import_from_base(node, module_name, is_package_init)
         if not base:
             return
         for alias in node.names:

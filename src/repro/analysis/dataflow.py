@@ -13,11 +13,10 @@ purity, and future ones) build on:
   calls inside one function (import aliases, ``self.`` methods,
   same-module classes);
 - :class:`CallGraph` — the project call graph (callee and caller
-  adjacency) built from the above;
-- :class:`ImportGraph` — the module-granular dependency graph with a
-  transitive-closure helper, which is also what keys the analysis
-  cache: a module's cross-module findings can only change if
-  something in its dependency closure changed.
+  adjacency) built from the above.
+
+One run builds the index once, on first use, as
+:attr:`repro.analysis.core.Project.index`.
 
 Everything is purely syntactic — nothing under analysis is imported —
 so a broken tree can still be linted.
@@ -286,9 +285,8 @@ class CallGraph:
     reverse: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, project: Project,
-              index: SymbolIndex | None = None) -> "CallGraph":
-        index = index if index is not None else build_index(project)
+    def build(cls, project: Project) -> "CallGraph":
+        index = project.index
         edges: dict[str, tuple[str, ...]] = {}
         reverse: dict[str, list[str]] = {}
         for qualname in sorted(index.functions):
@@ -347,54 +345,3 @@ class CallGraph:
             elif target in self.index.classes:
                 out.extend(self.index.classes[target])
         return out
-
-
-@dataclass
-class ImportGraph:
-    """Module-granular project-internal dependency edges.
-
-    ``deps[m]`` holds the project modules ``m`` imports (resolved
-    through aliases and relative imports).  :meth:`closure` gives the
-    transitive dependency set — the invalidation unit for cached
-    cross-module analysis results.
-    """
-
-    deps: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, project: Project,
-              index: SymbolIndex | None = None) -> "ImportGraph":
-        index = index if index is not None else build_index(project)
-        names = {module.name for module in project.modules}
-        deps: dict[str, tuple[str, ...]] = {}
-        for module in project.modules:
-            table = index.import_tables[module.name]
-            found: set[str] = set()
-            for target in (*table.modules.values(), *table.names.values()):
-                resolved = _project_module(target, names)
-                if resolved and resolved != module.name:
-                    found.add(resolved)
-            deps[module.name] = tuple(sorted(found))
-        return cls(deps=deps)
-
-    def closure(self, name: str) -> frozenset[str]:
-        """``name`` plus every module transitively reachable from it."""
-        seen: set[str] = set()
-        todo = [name]
-        while todo:
-            current = todo.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            todo.extend(self.deps.get(current, ()))
-        return frozenset(seen)
-
-
-def _project_module(qualified: str, module_names: set[str]) -> str | None:
-    """Longest project-module prefix of a qualified name, if any."""
-    parts = qualified.split(".")
-    for cut in range(len(parts), 0, -1):
-        candidate = ".".join(parts[:cut])
-        if candidate in module_names:
-            return candidate
-    return None

@@ -6,15 +6,13 @@ subtract the baseline, and render text, JSON, or SARIF.  Exit-code
 convention (shared with ``confbench experiment``): 0 = clean,
 1 = findings (or a failed shape check), 2 = usage error (argparse).
 
-Two execution knobs exist for CI hygiene, both output-invariant:
-
-- ``jobs > 1`` fans the passes out over worker processes; results are
-  merged and globally sorted, so serial and parallel runs render
-  byte-identically.
-- ``cache_path`` persists per-(rule, module) findings keyed by content
-  hashes (:mod:`repro.analysis.cache`); a warm cache run re-analyzes
-  only what changed, invalidating transitively through the import
-  graph for the cross-module passes.
+One run parses the tree once and builds its symbol index at most once
+(:attr:`repro.analysis.core.Project.index`, shared by the purity and
+taint passes).  ``cache_path`` is the one execution knob, and it is
+output-invariant: it persists findings keyed by content hashes
+(:mod:`repro.analysis.cache`) — per file for the module-scope passes,
+one whole-tree entry for each project-scope pass — so a warm run over
+an unchanged tree replays every pass without analyzing anything.
 
 :data:`PASS_SCHEMA` versions each pass's finding *semantics*: bump a
 pass's number when its rules/messages change meaningfully, and stale
@@ -24,13 +22,12 @@ cache entries and baselines age out instead of lying.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import AnalysisCache, closure_digests
+from repro.analysis.baseline import Baseline, _fingerprints
+from repro.analysis.cache import AnalysisCache, tree_digest
 from repro.analysis.concurrency import LockDisciplineRule
 from repro.analysis.core import (
     Finding,
@@ -77,7 +74,7 @@ def _pass_name(rule_id: str) -> str:
 
 def _SORT_KEY(f):
     # total order: ties beyond (path, line, col, rule) broken
-    # by message/symbol so serial, parallel, and cached runs
+    # by message/symbol so uncached and cached runs
     # render byte-identically
     return (f.path, f.line, f.col, f.rule, f.message, f.symbol)
 
@@ -132,7 +129,7 @@ class LintReport:
         rule_ids = sorted({f.rule for f in self.findings})
         rule_index = {rule: i for i, rule in enumerate(rule_ids)}
         results = []
-        for finding, fingerprint in _occurrence_fingerprints(self.findings):
+        for finding, fingerprint in _fingerprints(self.findings):
             results.append({
                 "ruleId": finding.rule,
                 "ruleIndex": rule_index[finding.rule],
@@ -188,19 +185,6 @@ _RULE_BLURBS = {
 }
 
 
-def _occurrence_fingerprints(findings: list[Finding]
-                             ) -> list[tuple[Finding, str]]:
-    counts: dict[tuple, int] = {}
-    out = []
-    for finding in findings:
-        key = (finding.rule, finding.module or finding.path,
-               finding.symbol, finding.message)
-        occurrence = counts.get(key, 0)
-        counts[key] = occurrence + 1
-        out.append((finding, finding.fingerprint(occurrence)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # execution
 
@@ -242,109 +226,56 @@ def _is_module_scope(rule: Rule) -> bool:
     return type(rule).check_project is Rule.check_project
 
 
-def _rule_worker(rule: Rule, path_strs: list[str]) -> list[dict]:
-    """Subprocess entry: reload the tree, run one pass."""
-    project = load_project([Path(p) for p in path_strs])
-    return [f.to_dict() for f in _run_one_rule(rule, project)]
-
-
 def _cached_rule_run(rule: Rule, project: Project, cache: AnalysisCache,
-                     closures: dict[str, str]) -> list[Finding]:
-    """Run one pass through the cache, filling misses."""
-    schema = PASS_SCHEMA.get(_pass_name(rule.id), 1)
-    module_scope = _is_module_scope(rule)
-    digest_for = {m.name: (m.sha if module_scope else closures[m.name])
-                  for m in project.modules}
-    keys = {m.name: AnalysisCache.key(rule.id, schema, digest_for[m.name])
-            for m in project.modules}
+                     tree: str) -> list[Finding]:
+    """Run one pass through the cache, filling misses.
 
-    if module_scope:
-        findings: list[Finding] = []
-        for module in project.modules:
-            cached = cache.get(keys[module.name])
-            if cached is None:
-                fresh = _apply_pragmas(
-                    list(rule.check_module(module)), project)
-                fresh.sort(key=_SORT_KEY)
-                cache.put(keys[module.name], fresh)
-                cached = fresh
-            findings.extend(cached)
-        findings.sort(key=_SORT_KEY)
+    A module-scope pass looks up one entry per file (keyed by the
+    file's hash); a project-scope pass looks up one entry for the whole
+    tree (keyed by ``tree``).
+    """
+    schema = PASS_SCHEMA.get(_pass_name(rule.id), 1)
+    if not _is_module_scope(rule):
+        key = AnalysisCache.key(rule.id, schema, tree)
+        findings = cache.get(key)
+        if findings is None:
+            findings = _run_one_rule(rule, project)
+            cache.put(key, findings)
         return findings
 
-    cached_all: list[Finding] = []
-    complete = True
+    findings = []
     for module in project.modules:
-        cached = cache.get(keys[module.name])
+        key = AnalysisCache.key(rule.id, schema, module.sha)
+        cached = cache.get(key)
         if cached is None:
-            complete = False
-            break
-        cached_all.extend(cached)
-    if complete:
-        cached_all.sort(key=_SORT_KEY)
-        return cached_all
-
-    findings = _run_one_rule(rule, project)
-    by_path: dict[str, list[Finding]] = {str(m.path): []
-                                         for m in project.modules}
-    cacheable = True
-    for finding in findings:
-        bucket = by_path.get(finding.path)
-        if bucket is None:
-            cacheable = False   # off-tree finding; don't trust a warm hit
-            break
-        bucket.append(finding)
-    if cacheable:
-        path_to_name = {str(m.path): m.name for m in project.modules}
-        for path, bucket in by_path.items():
-            cache.put(keys[path_to_name[path]], bucket)
+            cached = _apply_pragmas(list(rule.check_module(module)), project)
+            cached.sort(key=_SORT_KEY)
+            cache.put(key, cached)
+        findings.extend(cached)
     return findings
 
 
 def run_lint(paths: Sequence[Path], rules: Sequence[Rule] | None = None,
-             baseline: Baseline | None = None, jobs: int = 1,
+             baseline: Baseline | None = None,
              cache_path: Path | None = None) -> LintReport:
     """Run the analyzer over ``paths`` and apply the baseline.
 
-    ``jobs`` and ``cache_path`` change cost, never output: findings are
-    merged and globally sorted before rendering.
+    ``cache_path`` changes cost, never output: findings are globally
+    sorted before rendering.
     """
     project = load_project(paths)
     rule_list = list(rules) if rules is not None else default_rules()
 
-    cache = AnalysisCache(cache_path) if cache_path is not None else None
-    closures = closure_digests(project) if cache is not None else {}
-
     findings: list[Finding] = []
-    pending: list[Rule] = []
-    for rule in rule_list:
-        if cache is not None:
-            findings.extend(_cached_rule_run(rule, project, cache, closures))
-        else:
-            pending.append(rule)
-
-    if pending and jobs > 1:
-        path_strs = [str(p) for p in paths]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = [pool.submit(_rule_worker, rule, path_strs)
-                       for rule in pending]
-            for future in futures:
-                findings.extend(Finding.from_dict(d)
-                                for d in future.result())
-    else:
-        for rule in pending:
-            findings.extend(_run_one_rule(rule, project))
-
-    if cache is not None:
-        live = set()
+    if cache_path is None:
+        cache = None
         for rule in rule_list:
-            schema = PASS_SCHEMA.get(_pass_name(rule.id), 1)
-            module_scope = _is_module_scope(rule)
-            for module in project.modules:
-                digest = module.sha if module_scope \
-                    else closures[module.name]
-                live.add(AnalysisCache.key(rule.id, schema, digest))
-        cache.prune(live)
+            findings.extend(_run_one_rule(rule, project))
+    else:
+        cache = AnalysisCache(cache_path)
+        tree = tree_digest(project)
+        for rule in rule_list:
+            findings.extend(_cached_rule_run(rule, project, cache, tree))
         cache.save()
 
     findings.sort(key=_SORT_KEY)

@@ -34,7 +34,14 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.analysis.core import Finding, Project, Rule, Severity, SourceModule
+from repro.analysis.core import (
+    Finding,
+    Project,
+    Rule,
+    Severity,
+    SourceModule,
+    import_from_base,
+)
 
 #: Rank of each top-level sub-package; imports may only point to equal
 #: or lower rank (equal only within the same package).
@@ -80,21 +87,6 @@ class ImportEdge:
     target: str        # imported module ("repro.core.runner")
     line: int
     col: int
-
-
-def _dotted_target(module: SourceModule, node: ast.ImportFrom) -> str | None:
-    """Absolute dotted module for a ``from X import ...`` statement."""
-    if node.level == 0:
-        return node.module
-    # Resolve relative imports against the module's own dotted name.
-    base = module.name.split(".")
-    # For a package __init__, the first level strips nothing extra.
-    strip = node.level if module.path.stem != "__init__" else node.level - 1
-    if strip >= len(base):
-        return None
-    prefix = base[:len(base) - strip]
-    return ".".join(prefix + [node.module]) if node.module else \
-        ".".join(prefix)
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -145,7 +137,8 @@ def module_imports(module: SourceModule,
                         module.name, alias.name,
                         node.lineno, node.col_offset))
         elif isinstance(node, ast.ImportFrom):
-            target = _dotted_target(module, node)
+            target = import_from_base(node, module.name,
+                                      module.path.stem == "__init__")
             if not target or target.split(".")[0] != "repro":
                 continue
             for alias in node.names:

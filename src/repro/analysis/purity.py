@@ -52,7 +52,6 @@ from repro.analysis.core import Finding, ImportTable, Project, Rule, Severity
 from repro.analysis.dataflow import (
     FunctionUnit,
     SymbolIndex,
-    build_index,
     call_targets,
     decorator_names,
     scope_nodes,
@@ -100,7 +99,7 @@ class TrialPurityRule(Rule):
         self.entry_decorators = frozenset(entry_decorators)
 
     def check_project(self, project: Project) -> Iterator[Finding]:
-        index = build_index(project)
+        index = project.index
         reachable = self.reachable_units(project, index)
         for qualname in sorted(reachable):
             unit = index.functions.get(qualname)

@@ -50,7 +50,6 @@ from repro.analysis.core import (
 from repro.analysis.dataflow import (
     CallGraph,
     FunctionUnit,
-    build_index,
 )
 
 #: Cap on taint-lattice recursion (field maps of field maps ...).
@@ -361,8 +360,8 @@ class TaintEngine:
     def __init__(self, project: Project, spec: TaintSpec) -> None:
         self.project = project
         self.spec = spec
-        self.index = build_index(project)
-        self.callgraph = CallGraph.build(project, self.index)
+        self.index = project.index
+        self.callgraph = CallGraph.build(project)
         self.summaries: dict[str, FunctionSummary] = {}
 
     def run(self) -> list[Finding]:

@@ -16,7 +16,8 @@
   cell's span trees as Chrome trace-event JSON (Perfetto-loadable),
   JSONL span records, or collapsed stacks
 - ``confbench lint [paths...]`` — static analysis enforcing the
-  simulation contract (determinism, layering, trial purity)
+  simulation contract (determinism, layering, trial purity, hot path,
+  taint, lock discipline)
 
 Exit-code convention, shared by every subcommand: ``0`` success /
 clean, ``1`` findings or a failed check (including any
@@ -187,7 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="static analysis: determinism, layering, trial purity",
+        help="static analysis: determinism, layering, trial purity, "
+             "hot path, taint, lock discipline",
         description="Run the AST-based contract checks over the source "
                     "tree; exits 0 when clean (against the baseline, if "
                     "given), 1 on findings, 2 on usage errors.")
@@ -208,12 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma-separated pass subset: determinism, "
                            "layering, purity, hotpath, taint, lock "
                            "(default: all)")
-    lint.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                      help="run passes in N worker processes; output is "
-                           "byte-identical to a serial run")
     lint.add_argument("--cache", metavar="FILE", dest="lint_cache",
-                      help="per-file analysis cache keyed by content "
-                           "hashes; safe to delete at any time")
+                      help="analysis cache keyed by content hashes "
+                           "(per file; per tree for layering, purity and "
+                           "taint); safe to delete at any time")
     lint.set_defaults(subparser=lint)
     return parser
 
@@ -443,9 +443,6 @@ def _cmd_lint(args) -> int:
         rules = [RULE_REGISTRY[name]() for name in names]
     else:
         rules = [cls() for cls in RULE_REGISTRY.values()]
-    if args.jobs < 1:
-        args.subparser.error("argument --jobs: must be >= 1")
-
     paths = [Path(p) for p in (args.paths or ["src/repro"])]
     for path in paths:
         if not path.exists():
@@ -462,7 +459,7 @@ def _cmd_lint(args) -> int:
     _writable_file_arg(args, args.lint_cache, "--cache")
 
     report = run_lint(
-        paths, rules=rules, baseline=baseline, jobs=args.jobs,
+        paths, rules=rules, baseline=baseline,
         cache_path=Path(args.lint_cache) if args.lint_cache else None)
     if args.write_baseline:
         full = report.findings + report.grandfathered

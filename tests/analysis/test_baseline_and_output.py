@@ -79,23 +79,15 @@ class TestBaseline:
         assert loaded.passes == PASS_SCHEMA
         assert loaded.fingerprints == baseline.fingerprints
 
-    def test_v1_baseline_still_loads(self, make_tree, tmp_path):
-        """Pre-passes-map baselines (version 1) stay readable."""
-        findings = find(make_tree({"workloads/w.py": VIOLATION}))
-        entries = [{"fingerprint": f.fingerprint(0), "rule": f.rule}
-                   for f in findings]
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 1, "findings": entries}))
-        loaded = Baseline.load(path)
-        assert loaded.passes == {}
-        new, old = loaded.split(findings)
-        assert new == [] and old == findings
-
     def test_version_mismatch_rejected(self, tmp_path):
+        """Only the current version loads; v1 (no ``passes`` map) too
+        is refused, with the version found and the one expected."""
         path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(AnalysisError):
-            Baseline.load(path)
+        for version in (1, 99):
+            path.write_text(json.dumps({"version": version, "findings": []}))
+            with pytest.raises(AnalysisError,
+                               match=f"has version {version}, expected 2"):
+                Baseline.load(path)
 
     def test_malformed_baseline_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"

@@ -120,13 +120,19 @@ class TestEdgeResolution:
         assert lint(tree).findings == []
 
     def test_relative_imports_resolve(self, make_tree):
+        """From a module, from a package ``__init__`` (whose first
+        level strips nothing), and never above the top package."""
         tree = make_tree({
-            "core/a.py": "from .b import thing\n",
+            "core/__init__.py": "from .b import thing\nfrom ..hw import cpu\n",
+            "core/a.py": "from .b import thing\nfrom .... import x\n",
             "core/b.py": "thing = 1\n",
+            "hw/cpu.py": "",
         })
         project = load_project([tree])
         graph = import_graph(project)
         assert [e.target for e in graph["repro.core.a"]] == ["repro.core.b"]
+        assert sorted(e.target for e in graph["repro.core"]) == [
+            "repro.core.b", "repro.hw.cpu"]
 
     def test_duplicate_edges_collapse(self, make_tree):
         tree = make_tree({
