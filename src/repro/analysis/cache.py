@@ -2,16 +2,18 @@
 
 ``confbench lint --cache FILE`` persists post-pragma findings between
 runs so the CI job (and a local pre-commit loop) only pays for what
-changed.  Keys are derived purely from *content*:
+changed.  Keys are derived from what a finding renders — a module's
+path as spelled on the command line and its dotted name — and from
+*content*, so two byte-identical files never share an entry:
 
 - a **module-scope** rule (determinism, hotpath, lock — anything that
-  only implements ``check_module``) caches per file, keyed by that
-  file's SHA-256.  Editing one file re-analyzes one file.
+  only implements ``check_module``) caches per file, keyed by
+  :func:`module_digest`.  Editing one file re-analyzes one file.
 - a **project-scope** rule (layering, purity, taint) sees the whole
   tree through import and call graphs, so it caches one entry per
-  pass, keyed by :func:`tree_digest` over every module's name and
-  SHA-256.  Any edit re-runs each project pass once over the whole
-  tree; an unchanged tree replays them without building the symbol index.
+  pass, keyed by :func:`tree_digest` over every module's digest.  Any
+  edit re-runs each project pass once over the whole tree; an
+  unchanged tree replays them without building the symbol index.
 
 Entries also carry the pass schema version
 (:data:`repro.analysis.engine.PASS_SCHEMA`); bumping a pass's version
@@ -32,7 +34,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.analysis.core import Finding, Project
+from repro.analysis.core import Finding, Project, SourceModule
 
 CACHE_VERSION = 1
 
@@ -97,9 +99,15 @@ class AnalysisCache:
         self._dirty = True
 
 
+def module_digest(module: SourceModule) -> str:
+    """Hash over a module's path as spelled, dotted name and content
+    hash: the key material of a module-scope pass's cache entry."""
+    blob = f"{module.path}\x00{module.name}\x00{module.sha}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def tree_digest(project: Project) -> str:
-    """Hash over every module's dotted name and content hash: the one
-    key material of a project-scope pass's cache entry."""
-    blob = "\x00".join(f"{module.name}={module.sha}"
-                        for module in project.modules)
+    """Hash over every module's :func:`module_digest`: the one key
+    material of a project-scope pass's cache entry."""
+    blob = "\x00".join(module_digest(module) for module in project.modules)
     return hashlib.sha256(blob.encode()).hexdigest()

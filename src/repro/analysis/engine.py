@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.baseline import Baseline, _fingerprints
-from repro.analysis.cache import AnalysisCache, tree_digest
+from repro.analysis.cache import AnalysisCache, module_digest, tree_digest
 from repro.analysis.concurrency import LockDisciplineRule
 from repro.analysis.core import (
     Finding,
@@ -231,8 +231,8 @@ def _cached_rule_run(rule: Rule, project: Project, cache: AnalysisCache,
     """Run one pass through the cache, filling misses.
 
     A module-scope pass looks up one entry per file (keyed by the
-    file's hash); a project-scope pass looks up one entry for the whole
-    tree (keyed by ``tree``).
+    file's path, name and hash); a project-scope pass looks up one
+    entry for the whole tree (keyed by ``tree``).
     """
     schema = PASS_SCHEMA.get(_pass_name(rule.id), 1)
     if not _is_module_scope(rule):
@@ -245,7 +245,7 @@ def _cached_rule_run(rule: Rule, project: Project, cache: AnalysisCache,
 
     findings = []
     for module in project.modules:
-        key = AnalysisCache.key(rule.id, schema, module.sha)
+        key = AnalysisCache.key(rule.id, schema, module_digest(module))
         cached = cache.get(key)
         if cached is None:
             cached = _apply_pragmas(list(rule.check_module(module)), project)

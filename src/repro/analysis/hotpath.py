@@ -36,8 +36,8 @@ HOT_PACKAGES = ("repro.tee", "repro.guestos", "repro.runtimes")
 
 #: Per-op charge primitives on the execution context.
 CONTEXT_CHARGE_METHODS = frozenset({
-    "charge", "cpu_execute", "mem_alloc", "mem_copy",
-    "disk_read", "disk_write", "syscall_entry", "vm_transition",
+    "charge", "cpu_execute", "mem_alloc",
+    "disk_read", "disk_write", "vm_transition",
     "crypto", "charge_network", "startup",
 })
 

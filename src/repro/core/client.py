@@ -1,8 +1,7 @@
 """HTTP client for the REST interface.
 
 Talks the versioned ``/v1`` API and understands the uniform error
-envelope (``{"error": {"code", "message"}}``); it remains compatible
-with pre-envelope servers whose errors were bare strings.
+envelope (``{"error": {"code", "message"}}``).
 
 A 429 (``overloaded``) response is honored, not just reported: the
 client waits out the envelope's ``retry_after_ns`` hint (capped at
@@ -39,16 +38,14 @@ class ConfBenchClient:
 
     @staticmethod
     def _error_detail(body: bytes) -> str:
-        """Extract the human message from an error response body."""
+        """The error envelope's ``[code] message``; empty for a body
+        that is not an envelope (a proxy's error page, say)."""
         try:
-            error = json.loads(body).get("error", "")
-        except (json.JSONDecodeError, AttributeError):
+            error = json.loads(body)["error"]
+            code, message = error.get("code", ""), error.get("message", "")
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
             return ""
-        if isinstance(error, dict):   # the v1 envelope
-            code = error.get("code", "")
-            message = error.get("message", "")
-            return f"[{code}] {message}" if code else str(message)
-        return str(error or "")
+        return f"[{code}] {message}" if code else str(message)
 
     @staticmethod
     def _retry_after_ns(body: bytes) -> float:

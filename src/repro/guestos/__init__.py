@@ -3,8 +3,11 @@
 The workloads in the paper exercise a full OS (UnixBench explicitly;
 SQLite and the FaaS ``iostress``/``filesystem`` functions implicitly
 through file I/O and process management).  This package provides that
-substrate: an in-memory filesystem, a process table, pipes, a syscall
-layer with cost accounting, and a round-robin scheduler.
+substrate: an in-memory filesystem, a process table, pipes, and a
+syscall layer with cost accounting.  There is no scheduler: every
+syscall comes from the init process, and a blocking context switch is
+priced as a charge (:meth:`repro.guestos.kernel.GuestKernel.context_switch`),
+not scheduled.
 
 Functional behaviour (what a file contains, which pids exist) is real;
 timing flows through the :class:`repro.guestos.context.ExecContext`,
@@ -18,7 +21,6 @@ from repro.guestos.filesystem import InMemoryFileSystem
 from repro.guestos.process import ProcessTable, Process, ProcessState
 from repro.guestos.pipes import Pipe
 from repro.guestos.syscalls import SyscallKind
-from repro.guestos.scheduler import RoundRobinScheduler
 from repro.guestos.kernel import GuestKernel
 
 __all__ = [
@@ -31,6 +33,5 @@ __all__ = [
     "ProcessState",
     "Pipe",
     "SyscallKind",
-    "RoundRobinScheduler",
     "GuestKernel",
 ]

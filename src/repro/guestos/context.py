@@ -287,11 +287,6 @@ class ExecContext:
         return self._price("mem_alloc", (nbytes,), self.machine.counters,
                            self.charge)
 
-    def mem_copy(self, nbytes: int) -> float:
-        """Bulk-copy memory; returns charged nanoseconds."""
-        return self._price("mem_copy", (nbytes,), self.machine.counters,
-                           self.charge)
-
     def disk_read(self, nbytes: int) -> float:
         """Read from the block device, including TEE DMA costs."""
         return self._price("disk_read", (nbytes,), self.machine.counters,
@@ -300,11 +295,6 @@ class ExecContext:
     def disk_write(self, nbytes: int) -> float:
         """Write to the block device, including TEE DMA costs."""
         return self._price("disk_write", (nbytes,), self.machine.counters,
-                           self.charge)
-
-    def syscall_entry(self, base_cost_ns: float) -> float:
-        """Price a syscall: kernel entry cost plus TEE world switches."""
-        return self._price("syscall", (base_cost_ns,), self.machine.counters,
                            self.charge)
 
     def vm_transition(self, cost_ns: float) -> float:

@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 
 from repro.errors import ProcessError
 
+#: The root process every table starts with (``init``); with no
+#: scheduler in the model, it is the caller of every syscall.
+INIT_PID = 1
+
 
 class ProcessState(enum.Enum):
     """Lifecycle states of a simulated process."""
 
     RUNNING = "running"
-    SLEEPING = "sleeping"
     ZOMBIE = "zombie"
     REAPED = "reaped"
 
@@ -38,16 +41,16 @@ class Process:
 class ProcessTable:
     """Pid allocation and fork/exec/exit/wait semantics.
 
-    The table starts with pid 1 (``init``-like root process).
+    The table starts with :data:`INIT_PID` (``init``-like root process).
     """
 
     def __init__(self, max_processes: int = 32768) -> None:
         if max_processes < 2:
             raise ProcessError("need room for at least init plus one child")
         self.max_processes = max_processes
-        self._next_pid = 2
-        root = Process(pid=1, name="init")
-        self._table: dict[int, Process] = {1: root}
+        self._next_pid = INIT_PID + 1
+        root = Process(pid=INIT_PID, name="init")
+        self._table: dict[int, Process] = {INIT_PID: root}
 
     def get(self, pid: int) -> Process:
         """Look up a live (or zombie) process by pid."""
@@ -92,7 +95,7 @@ class ProcessTable:
     def exit(self, pid: int, code: int = 0) -> Process:
         """Terminate a process; it becomes a zombie until waited on."""
         proc = self.get(pid)
-        if pid == 1:
+        if pid == INIT_PID:
             raise ProcessError("init (pid 1) cannot exit")
         if proc.state in (ProcessState.ZOMBIE, ProcessState.REAPED):
             raise ProcessError(f"pid {pid} already exited")
@@ -115,17 +118,3 @@ class ProcessTable:
                 assert child.exit_code is not None
                 return child_pid, child.exit_code
         raise ProcessError(f"pid {parent_pid} has no zombie children to wait on")
-
-    def sleep(self, pid: int) -> None:
-        """Put a process to sleep (wakes via :meth:`wake`)."""
-        proc = self.get(pid)
-        if proc.state is not ProcessState.RUNNING:
-            raise ProcessError(f"cannot sleep {proc.state.value} pid {pid}")
-        proc.state = ProcessState.SLEEPING
-
-    def wake(self, pid: int) -> None:
-        """Wake a sleeping process."""
-        proc = self.get(pid)
-        if proc.state is not ProcessState.SLEEPING:
-            raise ProcessError(f"cannot wake {proc.state.value} pid {pid}")
-        proc.state = ProcessState.RUNNING

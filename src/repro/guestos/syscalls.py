@@ -3,7 +3,8 @@
 Each syscall has a fixed base kernel-entry cost (in nanoseconds on the
 reference hardware); the TEE profile multiplies it and adds its own
 world-switch cost on top.  Base numbers are in the ballpark of
-measured Linux syscall latencies on modern x86 servers.
+measured Linux syscall latencies on modern x86 servers.  A blocking
+context switch is priced the same way, from :data:`CONTEXT_SWITCH_NS`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ class SyscallKind(enum.Enum):
     """The syscalls the workloads exercise."""
 
     GETPID = "getpid"
-    OPEN = "open"
-    CLOSE = "close"
     READ = "read"
     WRITE = "write"
     CREATE = "create"
@@ -32,15 +31,11 @@ class SyscallKind(enum.Enum):
     WAIT = "wait"
     PIPE_READ = "pipe_read"
     PIPE_WRITE = "pipe_write"
-    SLEEP = "sleep"
-    WAKE = "wake"
 
 
 # Base kernel-entry + service cost in nanoseconds (native, no TEE).
 BASE_COST_NS: dict[SyscallKind, float] = {
     SyscallKind.GETPID: 60.0,
-    SyscallKind.OPEN: 900.0,
-    SyscallKind.CLOSE: 350.0,
     SyscallKind.READ: 300.0,
     SyscallKind.WRITE: 320.0,
     SyscallKind.CREATE: 1400.0,
@@ -54,9 +49,10 @@ BASE_COST_NS: dict[SyscallKind, float] = {
     SyscallKind.WAIT: 2_500.0,
     SyscallKind.PIPE_READ: 350.0,
     SyscallKind.PIPE_WRITE: 380.0,
-    SyscallKind.SLEEP: 900.0,
-    SyscallKind.WAKE: 900.0,
 }
+
+#: Direct cost of one native blocking context switch.
+CONTEXT_SWITCH_NS = 1_600.0
 
 
 def base_cost_ns(kind: SyscallKind) -> float:

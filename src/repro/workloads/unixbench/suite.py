@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
 from repro.guestos.kernel import GuestKernel
-from repro.guestos.syscalls import SyscallKind
+from repro.guestos.process import INIT_PID
 from repro.workloads.unixbench.index import (
     BASELINE_SCORES,
     index_for,
@@ -23,7 +23,8 @@ from repro.workloads.unixbench.index import (
 
 #: Simulation engines: ``batch`` stages each test's hot loop as one
 #: op batch (the fast path); ``perop`` issues every syscall
-#: individually (the legacy path, kept for equivalence testing).
+#: individually (the reference path the equivalence tests compare
+#: the batch engine against).
 ENGINES = ("batch", "perop")
 
 
@@ -122,7 +123,7 @@ class _Bench:
         start = self._measured()
         if self.engine == "batch":
             kb = self.kernel.batch()
-            kb.repeat(kb.seq().syscall(SyscallKind.GETPID), loops)
+            kb.repeat(kb.seq().getpid(), loops)
             kb.commit()
         else:
             for _ in range(loops):  # confbench: allow[hot-path-per-op]
@@ -173,8 +174,7 @@ class _Bench:
         if self.engine == "batch":
             kb = self.kernel.batch()
             kb.repeat(
-                kb.seq().fork().syscall(SyscallKind.EXIT)
-                        .syscall(SyscallKind.WAIT),
+                kb.seq().fork().exit().wait(),
                 loops,
             )
             kb.commit()
@@ -192,8 +192,7 @@ class _Bench:
         if self.engine == "batch":
             kb = self.kernel.batch()
             kb.repeat(
-                kb.seq().fork().exec().syscall(SyscallKind.EXIT)
-                        .syscall(SyscallKind.WAIT),
+                kb.seq().fork().exec().exit().wait(),
                 loops,
             )
             kb.commit()
@@ -217,13 +216,12 @@ class _Bench:
         per-op path.
         """
         table = self.kernel.processes
-        parent = self.kernel.scheduler.current_pid
         for index in range(loops):
-            child = table.fork(parent, name)
+            child = table.fork(INIT_PID, name)
             if exec_name is not None:
                 table.exec(child.pid, exec_name.format(index % 3))
             table.exit(child.pid, 0)
-            table.wait(parent)
+            table.wait(INIT_PID)
 
     def shell1(self) -> None:
         """Shell-script style: spawn a small pipeline, do file work."""
@@ -257,22 +255,18 @@ class _Bench:
         seq = kb.seq()
         for _ in ("sort", "grep", "tee"):
             seq.fork().exec()
-        seq.syscall(SyscallKind.CREATE).disk_write(4096)
-        seq.write(len(payload))
-        seq.read(len(payload))
-        seq.syscall(SyscallKind.UNLINK).disk_write(4096)
+        seq.create().write(len(payload)).read(len(payload)).unlink()
         for _ in ("sort", "grep", "tee"):
-            seq.syscall(SyscallKind.EXIT).syscall(SyscallKind.WAIT)
+            seq.exit().wait()
         kb.repeat(seq, loops)
         kb.commit()
         # the uncharged functional work, loop by loop
         fs = self.kernel.fs
         table = self.kernel.processes
-        parent = self.kernel.scheduler.current_pid
         for index in range(loops):
             pids = []
             for stage in ("sort", "grep", "tee"):
-                child = table.fork(parent, stage)
+                child = table.fork(INIT_PID, stage)
                 table.exec(child.pid, f"/bin/{stage}")
                 pids.append(child.pid)
             path = f"/tmp-shell-{index}"
@@ -282,7 +276,7 @@ class _Bench:
             fs.unlink(path)
             for pid in pids:
                 table.exit(pid, 0)
-                table.wait(parent)
+                table.wait(INIT_PID)
 
     # -- file copy tests ------------------------------------------------------------
 
@@ -331,7 +325,7 @@ def run_unixbench(kernel: GuestKernel, scale: float = 1.0,
 
     ``scale`` shrinks/grows iteration counts uniformly (it cancels in
     secure/normal comparisons).  ``engine`` selects the batched fast
-    path (default) or the legacy per-op path; scores are byte-
+    path (default) or the per-op reference path; scores are byte-
     identical between the two.
     """
     if scale <= 0:

@@ -8,6 +8,7 @@ each) while leaving per-file entries for untouched modules warm.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.analysis import run_lint
 from repro.analysis.cache import AnalysisCache
@@ -207,3 +208,28 @@ def test_cache_key_includes_rule_and_schema():
         AnalysisCache.key("lock", 1, "abc")
     assert AnalysisCache.key("taint", 1, "abc") != \
         AnalysisCache.key("taint", 2, "abc")
+
+
+def test_identical_files_render_their_own_paths(make_tree, tmp_path):
+    """Two byte-identical modules share a content hash, not findings:
+    cold and warm cached runs render a.py and b.py as uncached does."""
+    tree = make_tree({"workloads/a.py": WALLCLOCK,
+                      "workloads/b.py": WALLCLOCK})
+    plain = run_lint([tree])
+    assert {Path(f.path).name for f in plain.findings} == {"a.py", "b.py"}
+    cache = tmp_path / "lint-cache.json"
+    for _ in ("cold", "warm"):
+        assert _renderings(run_lint([tree], cache_path=cache)) == \
+            _renderings(plain)
+
+
+def test_path_spelling_is_key_material(make_tree, tmp_path, monkeypatch):
+    """A warm cache filled under one spelling of the tree must not
+    replay that spelling's paths under another."""
+    tree = make_tree(TREE)
+    cache = tmp_path / "lint-cache.json"
+    run_lint([tree], cache_path=cache)
+    monkeypatch.chdir(tmp_path)
+    relative = Path(tree.name)
+    assert _renderings(run_lint([relative], cache_path=cache)) == \
+        _renderings(run_lint([relative]))

@@ -55,8 +55,6 @@ ALLOWED_TEST_ONLY = {
     "dominant": "CostLedger observer in the attestation flow tests",
     "unregister_workload": "undoes register_workload's global registration",
     "route": "Host observer: the respawn test checks the new VM serves",
-    "wake": "inverse of ProcessTable.sleep, which the scheduler tests use "
-            "to take a process out of the runnable set",
     # Trust-boundary model (ROADMAP): attacker actions it will drive.
     "revoke": "CertificateAuthority revocation, a trust-boundary action",
     "tamper": "Registry tampering, a trust-boundary action",

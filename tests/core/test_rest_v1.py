@@ -233,7 +233,6 @@ class TestClientV1:
         with pytest.raises(GatewayError, match=r"\[bad_request\]"):
             client.invoke("ghost", "lua")
 
-    def test_error_detail_falls_back_on_bare_strings(self):
-        detail = ConfBenchClient._error_detail(b'{"error": "plain text"}')
-        assert detail == "plain text"
+    def test_error_detail_is_empty_without_an_envelope(self):
         assert ConfBenchClient._error_detail(b"not json") == ""
+        assert ConfBenchClient._error_detail(b'{"error": "plain"}') == ""

@@ -1,11 +1,10 @@
-"""Tests for the process table, pipes and scheduler."""
+"""Tests for the process table and pipes."""
 
 import pytest
 
 from repro.errors import GuestOsError, ProcessError
 from repro.guestos.pipes import Pipe
 from repro.guestos.process import ProcessState, ProcessTable
-from repro.guestos.scheduler import RoundRobinScheduler
 
 
 class TestProcessTable:
@@ -84,19 +83,6 @@ class TestProcessTable:
             table.wait(1)
         assert table.live_count() == 1
 
-    def test_sleep_and_wake(self):
-        table = ProcessTable()
-        child = table.fork(1)
-        table.sleep(child.pid)
-        assert table.get(child.pid).state is ProcessState.SLEEPING
-        table.wake(child.pid)
-        assert table.get(child.pid).state is ProcessState.RUNNING
-
-    def test_wake_running_fails(self):
-        table = ProcessTable()
-        with pytest.raises(ProcessError):
-            table.wake(1)
-
     def test_exec_on_zombie_fails(self):
         table = ProcessTable()
         child = table.fork(1)
@@ -146,50 +132,3 @@ class TestPipe:
     def test_bad_capacity(self):
         with pytest.raises(GuestOsError):
             Pipe(capacity=0)
-
-
-class TestScheduler:
-    def test_starts_on_init(self):
-        scheduler = RoundRobinScheduler(ProcessTable())
-        assert scheduler.current_pid == 1
-
-    def test_round_robin_cycles(self):
-        table = ProcessTable()
-        a = table.fork(1).pid
-        b = table.fork(1).pid
-        scheduler = RoundRobinScheduler(table)
-        seen = [scheduler.next() for _ in range(3)]
-        assert seen == [a, b, 1]
-
-    def test_switch_counts(self):
-        table = ProcessTable()
-        table.fork(1)
-        scheduler = RoundRobinScheduler(table)
-        scheduler.next()
-        scheduler.next()
-        assert scheduler.switch_count == 2
-
-    def test_switch_to_self_not_counted(self):
-        scheduler = RoundRobinScheduler(ProcessTable())
-        assert scheduler.switch_to(1) is False
-        assert scheduler.switch_count == 0
-
-    def test_skips_sleeping(self):
-        table = ProcessTable()
-        a = table.fork(1).pid
-        b = table.fork(1).pid
-        table.sleep(a)
-        scheduler = RoundRobinScheduler(table)
-        assert scheduler.next() == b
-
-    def test_switch_to_sleeping_fails(self):
-        table = ProcessTable()
-        child = table.fork(1)
-        table.sleep(child.pid)
-        scheduler = RoundRobinScheduler(table)
-        with pytest.raises(ProcessError):
-            scheduler.switch_to(child.pid)
-
-    def test_single_process_next_is_self(self):
-        scheduler = RoundRobinScheduler(ProcessTable())
-        assert scheduler.next() == 1

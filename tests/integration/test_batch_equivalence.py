@@ -30,8 +30,10 @@ from repro.core import TrialPlan
 from repro.core.launcher import FunctionLauncher
 from repro.core.runner import TrialRunner
 from repro.core.timeseries import ContinuousMonitor
+from repro.errors import GuestOsError
 from repro.guestos.context import CostProfile, ExecContext
 from repro.guestos.kernel import GuestKernel
+from repro.guestos.syscalls import SyscallKind, base_cost_ns
 from repro.hw.machine import xeon_gold_5515
 from repro.obs.export import TraceExporter
 from repro.sim.opstream import Op
@@ -92,15 +94,13 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-#: The public per-op method each op kind replays through (``event``
-#: has none; it goes through ``replay_op``).
+#: The public per-op method each op kind replays through (``mem_copy``,
+#: ``syscall`` and ``event`` have none; they go through ``replay_op``).
 PUBLIC_METHODS = {
     "cpu": ExecContext.cpu_execute,
     "mem_alloc": ExecContext.mem_alloc,
-    "mem_copy": ExecContext.mem_copy,
     "disk_read": ExecContext.disk_read,
     "disk_write": ExecContext.disk_write,
-    "syscall": ExecContext.syscall_entry,
     "vm_transition": ExecContext.vm_transition,
     "crypto": ExecContext.crypto,
     "network_ns": ExecContext.charge_network,
@@ -353,10 +353,135 @@ class TestUnixbenchEngines:
             suite = run_unixbench(kernel, scale=0.1, engine=engine)
             results[engine] = (
                 suite.scores, suite.system_index,
-                kernel.syscall_count, kernel.scheduler.switch_count,
                 context_state(ctx),
             )
         assert results["batch"] == results["perop"]
+
+
+#: Generated kernel calls: ``(name, *drawn args)``.
+_CALL_SIZES = st.integers(0, 1 << 14)
+KERNEL_CALLS = st.one_of(
+    st.tuples(st.sampled_from(("getpid", "create", "mkdir", "stat",
+                               "unlink", "rmdir", "fork", "exec", "exit",
+                               "wait", "context_switch"))),
+    st.tuples(st.sampled_from(("write", "pipe_write", "pipe_read")),
+              _CALL_SIZES),
+    st.tuples(st.just("read"), _CALL_SIZES, st.booleans()),
+)
+
+#: Platform cost terms switched on and off independently.
+KERNEL_PROFILES = st.builds(
+    lambda transitions, bounce, encrypted, noisy: CostProfile(
+        simulator_multiplier=1.4,
+        noise_sigma=0.02 if noisy else 0.0,
+        syscall_transition_ns=2_200.0 if transitions else 0.0,
+        halt_transition_ns=3_100.0 if transitions else 0.0,
+        io_transition_ns=3_000.0 if transitions else 0.0,
+        io_bounce_per_byte_ns=0.05 if bounce else 0.0,
+        mem_encrypted=encrypted, mem_integrity=encrypted,
+        mem_miss_extra_ns=20.0 if encrypted else 0.0),
+    st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+)
+
+
+def kernel_with_fixtures(ctx: ExecContext, calls: int) -> GuestKernel:
+    """A kernel on which every generated call succeeds: a data file,
+    a file and an empty directory per call to remove, and a running and
+    a zombie child per call to exit and to reap.  Set up uncharged."""
+    kernel = GuestKernel(ctx)
+    kernel.fs.create("/data")
+    kernel.fs.write("/data", b"d" * (1 << 14), None)
+    for index in range(calls):
+        kernel.fs.create(f"/u{index}")
+        kernel.fs.mkdir(f"/r{index}")
+        kernel.processes.fork(1)
+        kernel.processes.exit(kernel.processes.fork(1).pid, 0)
+    return kernel
+
+
+def run_per_op(kernel: GuestKernel, program) -> list:
+    """Make each call through ``sys_*``; returns the charge sizes seen."""
+    pipe = kernel.make_pipe()
+    running = list(range(2, 2 + 2 * len(program), 2))   # fixture children
+    sizes = []
+    for index, (name, *args) in enumerate(program):
+        size = None
+        if name == "getpid":
+            kernel.sys_getpid()
+        elif name == "create":
+            kernel.sys_create(f"/c{index}")
+        elif name == "mkdir":
+            kernel.sys_mkdir(f"/m{index}")
+        elif name == "stat":
+            kernel.sys_stat("/data")
+        elif name == "unlink":
+            kernel.sys_unlink(f"/u{index}")
+        elif name == "rmdir":
+            kernel.sys_rmdir(f"/r{index}")
+        elif name == "fork":
+            kernel.sys_fork("child")
+        elif name == "exec":
+            kernel.sys_exec(1, "/bin/prog")
+        elif name == "exit":
+            kernel.sys_exit(running.pop(), 0)
+        elif name == "wait":
+            kernel.sys_wait()
+        elif name == "context_switch":
+            kernel.context_switch()
+        elif name == "write":
+            size = kernel.sys_write("/data", b"w" * args[0])
+        elif name == "read":
+            size = len(kernel.sys_read("/data", 0, args[0], cached=args[1]))
+        elif name == "pipe_write":
+            size = kernel.sys_pipe_write(pipe, b"p" * args[0])
+        else:
+            size = len(kernel.sys_pipe_read(pipe, args[0]))
+        sizes.append(size)
+    return sizes
+
+
+class TestKernelCallPrograms:
+    """Batch = per-op on generated syscall programs: ``sys_*`` charge
+    exactly the :class:`KernelOps` of the same calls."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(program=st.lists(KERNEL_CALLS, min_size=1, max_size=30),
+           profile=KERNEL_PROFILES, seed=st.integers(0, 2**32 - 1))
+    def test_per_op_calls_equal_one_batch_of_their_ops(self, program,
+                                                       profile, seed):
+        per_op = make_ctx(profile, seed)
+        sizes = run_per_op(kernel_with_fixtures(per_op, len(program)),
+                           program)
+
+        batched = make_ctx(profile, seed)
+        kb = GuestKernel(batched).batch()
+        seq = kb.seq()
+        for (name, *args), size in zip(program, sizes):
+            if name == "read":
+                seq.read(size, cached=args[1])
+            elif size is not None:
+                getattr(seq, name)(size)
+            else:
+                getattr(seq, name)()
+        kb.repeat(seq)
+        kb.commit()
+
+        assert context_state(per_op) == context_state(batched)
+
+    @pytest.mark.parametrize("call, kind", [
+        ("sys_stat", SyscallKind.STAT),
+        ("sys_unlink", SyscallKind.UNLINK),
+        ("sys_rmdir", SyscallKind.RMDIR),
+    ])
+    def test_failing_syscall_charges_only_its_entry(self, call, kind):
+        profile = PROFILES["noisy-tee"]
+        ctx = make_ctx(profile, 5)
+        with pytest.raises(GuestOsError):
+            getattr(GuestKernel(ctx), call)("/missing")
+
+        entry_only = make_ctx(profile, 5)
+        entry_only.replay_op(Op("syscall", (base_cost_ns(kind),)))
+        assert context_state(ctx) == context_state(entry_only)
 
 
 def canonical_artifacts(runner: TrialRunner, results) -> str:
